@@ -2,17 +2,19 @@
 
 DESIGN.md §10 commits the map-reduce refinement path to two promises:
 
-1. **Byte-identical results** — sharding the trail, mining partial
-   aggregates per worker and merging them deterministically produces
-   exactly the serial pipeline's output: same patterns in the same
-   order, same useful/pruned partition, same coverage ratios, same
-   uncovered-entry indices.
-2. **Wall-clock wins at scale** — on a multi-core host, four workers
-   over a ≥100k-entry segmented store beat the serial pipeline by at
-   least 2×.  The single streaming pass per shard also makes the
-   parallel path competitive even when only one CPU is available, so
-   the identity checks always run; the 2× floor is asserted only when
-   the host actually has the cores to honour it.
+1. **Byte-identical results** — serial ``refine()`` (the kernel's
+   one-shard, in-process case) and the sharded run both produce exactly
+   the literal pipeline's output (``tests/reference.py``: Filter → the
+   Algorithm 5 SQL statement → Prune): same patterns in the same order,
+   same useful/pruned partition, same coverage ratios, same
+   uncovered-entry indices, same practice subset.
+2. **Wall-clock wins at scale** — on a multi-core host, the workers
+   over a ≥100k-entry segmented store beat serial ``refine()`` by at
+   least 2×.  The floor was set when serial meant the three-pass
+   literal pipeline; against the one-pass serial kernel the map is
+   nearly the whole call, so fewer than three workers cannot clear it
+   once pool start-up is counted.  The identity checks always run; the
+   2× floor is asserted only when the host has at least four CPUs.
 
 Knobs: ``E17_ENTRIES`` (default 100_000), ``E17_WORKERS`` (default 4).
 A JSON perf record lands in ``benchmarks/out/e17_parallel_refinement.json``.
@@ -37,6 +39,7 @@ from repro.store.durable import DurableAuditLog
 from repro.store.store import StoreConfig
 from repro.vocab.builtin import healthcare_vocabulary
 from repro.workload.scenarios import figure3_policy
+from tests.reference import reference_refine, result_fields
 
 _ENTRIES = int(os.environ.get("E17_ENTRIES", "100000"))
 _WORKERS = int(os.environ.get("E17_WORKERS", "4"))
@@ -111,18 +114,15 @@ def test_e17_parallel_refinement(tmp_path):
         parallel, parallel_seconds = _timed_refine(
             policy, durable, vocabulary, ExecutionPolicy(workers=_WORKERS)
         )
+        literal = result_fields(
+            reference_refine(policy, durable, vocabulary, None, Grounder(vocabulary))
+        )
+        identical = (
+            result_fields(serial) == literal and result_fields(parallel) == literal
+        )
     finally:
         durable.close()
 
-    identical = (
-        serial.patterns == parallel.patterns
-        and serial.useful_patterns == parallel.useful_patterns
-        and serial.pruned_patterns == parallel.pruned_patterns
-        and serial.coverage.ratio == parallel.coverage.ratio
-        and serial.entry_coverage.matched == parallel.entry_coverage.matched
-        and serial.entry_coverage.uncovered_entries
-        == parallel.entry_coverage.uncovered_entries
-    )
     cpus = os.cpu_count() or 1
     speedup = serial_seconds / parallel_seconds if parallel_seconds else float("inf")
 
@@ -167,7 +167,7 @@ def test_e17_parallel_refinement(tmp_path):
     )
 
     assert identical, (
-        "the parallel pipeline must reproduce the serial results exactly"
+        "serial and parallel refine() must reproduce the literal pipeline exactly"
     )
     assert serial.patterns, "the workload must mine a non-trivial rule set"
     assert len(shards) == min(_WORKERS, stats.segments)

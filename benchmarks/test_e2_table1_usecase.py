@@ -5,7 +5,9 @@ exception entries; mining (f = 5, COUNT(DISTINCT user) > 1 over
 (data, purpose, authorized)) extracts exactly Referral:Registration:Nurse
 (entries t3, t7-t10); pruning keeps it; adopting it raises entry coverage
 to 8/10.  The bench times one full Refinement(P_PS, P_AL, V) invocation
-(Algorithm 2: coverage + filter + SQL mining + prune).
+(Algorithm 2: coverage + filter + mining + prune, run by the one-shard
+kernel) and checks it against the literal pipeline, whose miner is the
+paper's Algorithm 5 SQL statement (``tests/reference.py``).
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from repro.experiments.reporting import format_table
 from repro.policy.rule import Rule
 from repro.refinement.engine import refine
 from repro.workload.scenarios import figure3_policy, table1_audit_log
+from tests.reference import assert_identical, reference_refine
 
 
 def test_e2_table1_refinement(benchmark, vocabulary):
@@ -32,6 +35,7 @@ def test_e2_table1_refinement(benchmark, vocabulary):
     assert [p.rule for p in result.useful_patterns] == [expected]
     assert result.useful_patterns[0].support == 5
     assert result.useful_patterns[0].distinct_users == 3
+    assert_identical(reference_refine(store_policy, log, vocabulary), result)
 
     full = reproduce_table1()
     emit(

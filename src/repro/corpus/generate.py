@@ -407,7 +407,7 @@ def generate_corpus(spec: CorpusSpec | None = None) -> PolicyCorpus:
     """Generate the full corpus for ``spec`` (deterministic in the seed)."""
     spec = spec or CorpusSpec()
     reg = obs.get_registry()
-    with reg.span("repro_corpus_generate_seconds"):
+    with reg.span("repro_corpus_generate"):
         departments = CLINICAL_DEPARTMENTS[: spec.departments]
         vocabulary = hipaa_vocabulary(departments)
         rng = random.Random(spec.seed)

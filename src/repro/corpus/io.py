@@ -81,7 +81,7 @@ def save_corpus(
     Returns the bundle digest recorded in the manifest.
     """
     reg = obs.get_registry()
-    with reg.span("repro_corpus_save_seconds"):
+    with reg.span("repro_corpus_save"):
         base = Path(directory)
         base.mkdir(parents=True, exist_ok=True)
         atomic_write_bytes(
@@ -177,7 +177,7 @@ class LoadedCorpus:
 def load_corpus(directory: str | Path, verify: bool = True) -> LoadedCorpus:
     """Read a corpus bundle; ``verify`` recomputes and checks the digest."""
     reg = obs.get_registry()
-    with reg.span("repro_corpus_load_seconds"):
+    with reg.span("repro_corpus_load"):
         base = Path(directory)
         manifest_path = base / MANIFEST_NAME
         if not manifest_path.is_file():

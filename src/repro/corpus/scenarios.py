@@ -223,7 +223,7 @@ class CorpusEnvironment:
     def simulate_round(self, round_index: int, store: PolicyStore) -> AuditLog:
         """Simulate one day of corpus traffic under ``store``."""
         reg = obs.get_registry()
-        with reg.span("repro_corpus_round_seconds"):
+        with reg.span("repro_corpus_round"):
             covered = self._covered_rules(store)
             day = self._next_day
             self._next_day += 1

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
+from heapq import merge as heap_merge
 
 from repro.errors import CoverageError
 from repro.obs.metrics import CARDINALITY_BUCKETS
@@ -138,17 +139,47 @@ def compute_entry_coverage(
     with reg.span("repro_coverage_compute", kind="entry"):
         range_x = grounder.range_of(policy_x)
         covering_mask = range_x.mask
-        matched = 0
         total = 0
         misses: list[int] = []
         for index, entry in enumerate(entries):
             total += 1
             # range_x came from this grounder, so both masks share one interner
             # and "whole expansion covered" is a single bitwise expression.
-            if grounder.ground_mask(entry) & ~covering_mask == 0:
-                matched += 1
-            else:
+            if grounder.ground_mask(entry) & ~covering_mask != 0:
                 misses.append(index)
+    return _entry_report(reg, range_x, total, misses)
+
+
+def grouped_entry_coverage(
+    covering: Range,
+    groups: Iterable[tuple[Rule, Iterable[int]]],
+    total: int,
+    grounder: Grounder,
+) -> EntryCoverageReport:
+    """Entry coverage of a trace given as its distinct rules.
+
+    ``groups`` pairs each distinct rule of a ``total``-entry trace with
+    the ascending positions of its entries; ``covering`` is a range
+    ``grounder`` produced.  Each rule is ground once, and only the
+    positions of uncovered rules are read, merged into trace order.
+    Equal to :func:`compute_entry_coverage` over the ungrouped trace.
+    """
+    reg = get_registry()
+    with reg.span("repro_coverage_compute", kind="entry"):
+        covering_mask = covering.mask
+        missed = [
+            positions
+            for rule, positions in groups
+            if grounder.ground_mask(rule) & ~covering_mask != 0
+        ]
+        misses = list(heap_merge(*missed))
+    return _entry_report(reg, covering, total, misses)
+
+
+def _entry_report(
+    reg, covering: Range, total: int, misses: list[int]
+) -> EntryCoverageReport:
+    """Record one entry-coverage computation and build its report."""
     if total == 0:
         raise CoverageError("entry coverage over an empty trace is undefined")
     if reg.enabled:
@@ -156,12 +187,13 @@ def compute_entry_coverage(
         reg.counter("repro_coverage_recompute_total").inc()
         reg.histogram(
             "repro_coverage_range_cardinality", buckets=CARDINALITY_BUCKETS
-        ).observe(range_x.cardinality)
+        ).observe(covering.cardinality)
+    matched = total - len(misses)
     return EntryCoverageReport(
         ratio=matched / total,
         matched=matched,
         total=total,
-        covering=range_x,
+        covering=covering,
         uncovered_entries=tuple(misses),
     )
 

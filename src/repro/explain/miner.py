@@ -150,7 +150,7 @@ def mine_template_weights(
     if not templates:
         raise ExplainError("at least one explanation template is required")
     reg = obs.get_registry()
-    with reg.span("repro_explain_mine_seconds"):
+    with reg.span("repro_explain_mine"):
         regular = log.regular()
         exceptions = log.exceptions()
         if not len(regular) or not len(exceptions):

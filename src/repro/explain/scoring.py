@@ -48,7 +48,7 @@ def score_exceptions(
 ) -> tuple[ScoredExplanation, ...]:
     """Score every allowed exception access in ``log``."""
     reg = obs.get_registry()
-    with reg.span("repro_explain_score_seconds"):
+    with reg.span("repro_explain_score"):
         scored = tuple(
             ScoredExplanation(
                 entry=entry,

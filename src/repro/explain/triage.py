@@ -219,7 +219,7 @@ def triage_patterns(
     """Rank ``patterns`` by explanation strength and assign verdicts."""
     chosen = thresholds or TriageThresholds()
     reg = obs.get_registry()
-    with reg.span("repro_explain_triage_seconds"):
+    with reg.span("repro_explain_triage"):
         ranked = explanation_ranking(patterns, index)
         candidates = tuple(
             TriageCandidate(

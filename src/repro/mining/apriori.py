@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 from repro.audit.log import AuditLog
 from repro.errors import MiningError
-from repro.mining.patterns import MiningConfig, Pattern
+from repro.mining.patterns import MiningConfig, Pattern, apriori_pattern_order
 from repro.policy.rule import Rule
 
 #: An item is an (attribute, value) pair; itemsets are frozensets of items.
@@ -178,7 +178,7 @@ class AprioriPatternMiner:
                     distinct_users=distinct_users,
                 )
             )
-        patterns.sort(key=lambda p: (-p.support, str(p.rule)))
+        patterns.sort(key=apriori_pattern_order)
         return tuple(patterns)
 
     def correlations(

@@ -8,6 +8,7 @@ distinct users produced it (the ``c`` condition's subject).
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from typing import Protocol
 
@@ -68,6 +69,24 @@ class Pattern:
     def __str__(self) -> str:
         values = ":".join(term.value for term in self.rule.terms)
         return f"{values} (support={self.support}, users={self.distinct_users})"
+
+
+def sql_pattern_order(attributes: tuple[str, ...]) -> Callable[[Pattern], tuple]:
+    """Sort key of Algorithm 5's ``ORDER BY support DESC, A_1, .., A_n``:
+    support descending, then the values of ``attributes`` in that order."""
+
+    def key(pattern: Pattern) -> tuple:
+        return (
+            -pattern.support,
+            tuple(pattern.rule.value_of(attribute) for attribute in attributes),
+        )
+
+    return key
+
+
+def apriori_pattern_order(pattern: Pattern) -> tuple:
+    """Sort key of the Apriori miner: support descending, then the rule text."""
+    return (-pattern.support, str(pattern.rule))
 
 
 class PatternMiner(Protocol):

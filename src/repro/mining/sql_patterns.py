@@ -32,19 +32,33 @@ concatenated input, group for group and in the same order.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
 from repro.audit.entry import AuditEntry
 from repro.audit.log import AuditLog
 from repro.audit.schema import AUDIT_ATTRIBUTES
 from repro.errors import MiningError
-from repro.mining.patterns import MiningConfig, Pattern
+from repro.mining.patterns import MiningConfig, Pattern, sql_pattern_order
 from repro.policy.rule import Rule
 from repro.sqlmini.database import Database
 
 #: One GROUP BY key: the entry's values over the configured attributes.
 GroupKey = tuple[str, ...]
+
+
+def fold_groups(into: dict, *group_maps: dict) -> dict:
+    """Fold ``key -> [support, user-set]`` maps into ``into`` and return
+    it: supports add, user sets union (``into`` never shares a set)."""
+    for groups in group_maps:
+        for key, (count, users) in groups.items():
+            slot = into.get(key)
+            if slot is None:
+                into[key] = [count, set(users)]
+            else:
+                slot[0] += count
+                slot[1] |= users
+    return into
 
 
 @dataclass
@@ -81,13 +95,7 @@ class SqlPartialAggregate:
                 f"cannot merge partial aggregates over {other.attributes} "
                 f"into one over {self.attributes}"
             )
-        for values, (count, users) in other.groups.items():
-            slot = self.groups.get(values)
-            if slot is None:
-                self.groups[values] = [count, set(users)]
-            else:
-                slot[0] += count
-                slot[1] |= users
+        fold_groups(self.groups, other.groups)
 
     @classmethod
     def from_entries(
@@ -101,29 +109,30 @@ class SqlPartialAggregate:
 
 
 def finalize_patterns(
-    partial: SqlPartialAggregate, config: MiningConfig
+    partial: SqlPartialAggregate,
+    config: MiningConfig,
+    order: Callable[[Pattern], tuple] | None = None,
 ) -> tuple[Pattern, ...]:
     """Apply the global ``HAVING`` thresholds and ``ORDER BY`` to a
     (merged) partial aggregate — the reduce step of Algorithm 5.
 
-    Ordering matches the rendered statement: support descending, then the
-    attribute values ascending, so the result is deterministic and equal
-    to :meth:`SqlPatternMiner.mine` over the concatenated shards.
+    The default ``order`` matches the rendered statement
+    (:func:`~repro.mining.patterns.sql_pattern_order`), so the result is
+    deterministic and equal to :meth:`SqlPatternMiner.mine` over the
+    concatenated shards; the Apriori miner's full-width patterns are the
+    same groups under :func:`~repro.mining.patterns.apriori_pattern_order`.
     """
-    surviving = [
-        (values, count, len(users))
-        for values, (count, users) in partial.groups.items()
-        if count >= config.min_support and len(users) >= config.min_distinct_users
-    ]
-    surviving.sort(key=lambda item: (-item[1], item[0]))
-    return tuple(
+    patterns = [
         Pattern(
             rule=Rule.from_pairs(list(zip(partial.attributes, values))),
             support=count,
-            distinct_users=distinct_users,
+            distinct_users=len(users),
         )
-        for values, count, distinct_users in surviving
-    )
+        for values, (count, users) in partial.groups.items()
+        if count >= config.min_support and len(users) >= config.min_distinct_users
+    ]
+    patterns.sort(key=order or sql_pattern_order(partial.attributes))
+    return tuple(patterns)
 
 
 def build_analysis_sql(table: str, config: MiningConfig) -> str:

@@ -1,29 +1,32 @@
-"""Parallel sharded refinement — map-reduce over the audit trail.
+"""The refinement kernel — map-reduce over the audit trail.
 
-The refinement pipeline (Algorithms 3-6) is a single serial pass in the
-paper, but every stage decomposes over a partition of the log:
+The refinement pipeline (Algorithms 3-6) decomposes over any partition
+of the log:
 
 - **shard** (:mod:`repro.parallel.shards`): the trail is split into
   contiguous shards — durable-store segment files, in-memory chunks, or
   federation members — that concatenate back to the global append order;
-- **map** (:mod:`repro.parallel.partials`): each worker process streams
-  its shard once, computing Filter plus *partial* pattern-mining
-  aggregates (mergeable ``group -> (support, user-set)`` state for the
-  SQL miner, SON-style local candidates for Apriori) and the per-rule
-  entry positions coverage needs;
-- **merge** (:mod:`repro.parallel.refine`): the coordinator folds the
-  partials together deterministically, re-applies the global ``HAVING``
-  thresholds, reconstructs both coverage semantics, and prunes with one
-  shared interned grounder so every mask stays comparable.
+- **map** (:mod:`repro.parallel.partials`): each shard is streamed once,
+  computing Filter plus *partial* pattern-mining aggregates (mergeable
+  ``group -> (support, user-set)`` state for the SQL miner, SON-style
+  local candidates for Apriori) and the per-rule entry positions
+  coverage needs;
+- **merge** (:mod:`repro.parallel.refine`): the partials are folded
+  together deterministically, the global ``HAVING`` thresholds
+  re-applied, both coverage semantics reconstructed, and the patterns
+  pruned with one shared interned grounder so every mask stays
+  comparable.
 
-The result is *byte-identical* to :func:`repro.refinement.engine.refine`
-run serially over the same log — same accepted rules in the same order,
-same prune partition, same coverage ratios and uncovered-entry indices —
-because every merge is over exact counts and the final ordering rules are
-re-applied globally.  ``RefinementConfig(execution=ExecutionPolicy(
-workers=N))`` opts a refine call in; everything falls back to the serial
-path when it cannot help (one shard, one worker, a custom miner, or a
-process pool the platform refuses to give us).
+:func:`repro.refinement.engine.refine` runs this kernel for the built-in
+miners at every worker count: one worker maps a single shard in-process
+(one pass over the trail), ``RefinementConfig(execution=ExecutionPolicy(
+workers=N))`` maps N shards on a process pool.  The result is
+*byte-identical* to the paper's literal pipeline over the same log —
+same accepted rules in the same order, same prune partition, same
+coverage ratios and uncovered-entry indices — because every merge is
+over exact counts and the final ordering rules are re-applied globally.
+Custom miners run the literal pipeline; a process pool the platform
+refuses to give us falls back to in-process mapping.
 """
 
 from repro.parallel.execution import ExecutionPolicy

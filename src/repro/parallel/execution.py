@@ -1,9 +1,9 @@
 """The execution policy: how many workers, how many shards.
 
 Kept dependency-free so :mod:`repro.refinement.engine` can carry an
-``ExecutionPolicy`` on its config without importing the pool machinery —
-the engine only looks at :attr:`ExecutionPolicy.workers` to decide
-whether to delegate to :func:`repro.parallel.refine.parallel_refine`.
+``ExecutionPolicy`` on its config without importing the pool machinery.
+:func:`repro.parallel.refine.parallel_refine` reads it to plan shards
+and decide whether to start a pool.
 """
 
 from __future__ import annotations
@@ -17,10 +17,10 @@ from repro.errors import RefinementError
 class ExecutionPolicy:
     """How one refinement run is executed.
 
-    ``workers`` is the process count; ``1`` (the default) means the
-    serial in-process pipeline.  ``max_shards`` caps how many shards the
-    planner produces (default: one per worker); more shards than workers
-    simply queue, which can smooth imbalance between segment sizes.
+    ``workers`` is the process count; ``1`` (the default) maps every
+    shard in-process.  ``max_shards`` caps how many shards the planner
+    produces (default: one per worker); more shards than workers simply
+    queue, which can smooth imbalance between segment sizes.
     """
 
     workers: int = 1

@@ -22,6 +22,13 @@ from repro.parallel.shards import Shard
 MODES: tuple[str, ...] = ("serial", "pool")
 
 
+def map_in_process(
+    worker: Callable, shards: Sequence[Shard], task
+) -> tuple[list, str]:
+    """Run ``worker(shard, task)`` for every shard here, in shard order."""
+    return [worker(shard, task) for shard in shards], "serial"
+
+
 def run_sharded(
     worker: Callable,
     shards: Sequence[Shard],
@@ -32,7 +39,7 @@ def run_sharded(
     order.  Returns ``(results, mode)`` where mode says whether a pool
     was actually used."""
     if workers <= 1 or len(shards) <= 1:
-        return [worker(shard, task) for shard in shards], "serial"
+        return map_in_process(worker, shards, task)
     try:
         with ProcessPoolExecutor(max_workers=min(workers, len(shards))) as pool:
             futures = [pool.submit(worker, shard, task) for shard in shards]
@@ -51,4 +58,4 @@ def run_sharded(
             reg.counter(
                 "repro_parallel_fallbacks_total", reason=type(exc).__name__
             ).inc()
-        return [worker(shard, task) for shard in shards], "serial"
+        return map_in_process(worker, shards, task)

@@ -1,8 +1,16 @@
-"""The reduce side: deterministic merge of shard partials.
+"""The refinement kernel: shard → map → deterministic merge.
 
-:func:`parallel_refine` is a drop-in for
-:func:`repro.refinement.engine.refine` that executes shard → map → merge
-→ prune.  Determinism and serial equivalence come from four commitments:
+:func:`parallel_refine` runs Algorithm 2 for the built-in miners, and
+:func:`repro.refinement.engine.refine` delegates to it at every worker
+count.  One worker maps in-process, by default a single shard — serial
+``refine()`` is the one-shard case, reading the trail exactly once.
+More workers map their shards on a process pool.  Both feed the same
+merge: lift → coverage → entry coverage from the mapped positions →
+suspected set → patterns → prune → lazy practice view.
+
+Determinism and equality with the paper's literal pipeline (Filter →
+the Algorithm 5 SQL statement → Prune, kept as the test oracle) come
+from four commitments:
 
 1. **Exact partials.**  Supports add, user sets union, entry positions
    offset — nothing sampled, nothing approximated — so merged counts
@@ -11,52 +19,60 @@
    (and the classifier's verdict thresholds under violation screening)
    are evaluated only against merged totals; workers never discard a
    group the globals might keep (the SQL path ships every group, the
-   Apriori path over-collects candidates via the SON pigeonhole bound).
-3. **Global ordering re-applied at the merge.**  Results are re-sorted
-   with the serial miners' own keys — ``(support desc, values asc)`` for
-   SQL, ``(support desc, str(rule))`` for Apriori — so worker completion
-   order never shows through.
+   Apriori path over-collects candidates via the SON pigeonhole bound
+   and recounts them exactly — unless one unscreened shard's counts
+   already are exact).
+3. **Global ordering re-applied at the merge.**  Results are sorted with
+   the miners' own keys (:func:`~repro.mining.patterns.sql_pattern_order`,
+   :func:`~repro.mining.patterns.apriori_pattern_order`), so worker
+   completion order never shows through.
 4. **One shared grounder.**  Coverage and pruning masks are produced by
    the coordinator's single interned grounder; worker processes never
-   ground anything, so every mask is comparable and the prune partition
-   is identical to the serial run's.
+   ground anything, so every mask is comparable.
 
-The produced :class:`~repro.refinement.engine.RefinementResult` matches
-the serial path field for field, including
-``entry_coverage.uncovered_entries`` (shard offsets restore global
-positions) and the lazy ``practice`` view.
+Every call emits the ``repro_refinement_stage`` spans: ``filter`` times
+the streaming map, ``coverage`` the merge's coverage, ``extract`` the
+pattern reduce and ``prune`` Prune.
 """
 
 from __future__ import annotations
 
-from heapq import merge as heap_merge
+from collections.abc import Iterator
+from itertools import accumulate
 
 from repro.audit.classify import ClassifierConfig
 from repro.audit.schema import RULE_ATTRIBUTES
-from repro.coverage.engine import EntryCoverageReport, compute_coverage
+from repro.coverage.engine import compute_coverage, grouped_entry_coverage
 from repro.errors import RefinementError
 from repro.mining.apriori import AprioriPatternMiner
-from repro.mining.patterns import Pattern
+from repro.mining.patterns import apriori_pattern_order
 from repro.mining.sql_patterns import (
     SqlPartialAggregate,
     SqlPatternMiner,
     finalize_patterns,
+    fold_groups,
 )
 from repro.obs.metrics import CARDINALITY_BUCKETS
 from repro.obs.runtime import get_registry
 from repro.parallel.partials import (
     CountTask,
+    GroupKey,
     MapTask,
     ShardPartial,
     count_shard,
     map_shard,
 )
-from repro.parallel.pool import run_sharded
+from repro.parallel.pool import map_in_process, run_sharded
 from repro.parallel.shards import shards_of
 from repro.policy.grounding import Grounder
 from repro.policy.policy import Policy, PolicySource
 from repro.policy.rule import Rule
-from repro.refinement.engine import RefinementConfig, RefinementResult
+from repro.refinement.engine import (
+    RefinementConfig,
+    RefinementResult,
+    checked_grounder,
+    finish_refinement,
+)
 from repro.refinement.prune import prune_patterns
 from repro.vocab.vocabulary import Vocabulary
 
@@ -66,7 +82,7 @@ def supports_parallel_miner(miner) -> bool:
 
     ``None`` (the engine default) and the two built-in miners are
     supported; an arbitrary ``PatternMiner`` implementation has no
-    partial-aggregate form, so the engine falls back to serial for it.
+    partial-aggregate form, so the engine runs the literal pipeline.
     """
     return miner is None or isinstance(miner, (SqlPatternMiner, AprioriPatternMiner))
 
@@ -82,6 +98,13 @@ def _miner_kind(miner) -> str:
     )
 
 
+def _map(worker, shards, task, workers: int) -> tuple[list, str]:
+    """One worker maps in-process; more fan out over :func:`run_sharded`."""
+    if workers == 1:
+        return map_in_process(worker, shards, task)
+    return run_sharded(worker, shards, task, workers)
+
+
 def _merge_suspected(
     partials: list[ShardPartial], config: ClassifierConfig
 ) -> frozenset:
@@ -93,76 +116,27 @@ def _merge_suspected(
     which is exactly the serial semantics: the practice subset holds no
     regular entries, so the echo rescue never fires there).
     """
-    stats: dict = {}
+    stats = fold_groups({}, *(partial.cls_stats or {} for partial in partials))
     echoed: set = set()
     for partial in partials:
-        for key, (count, users) in (partial.cls_stats or {}).items():
-            slot = stats.get(key)
-            if slot is None:
-                stats[key] = [count, set(users)]
-            else:
-                slot[0] += count
-                slot[1] |= users
-        if partial.regular_rules:
-            echoed |= partial.regular_rules
-    suspected = set()
-    for key, (count, users) in stats.items():
-        practice_like = (
+        echoed |= partial.regular_rules or set()
+    return frozenset(
+        key
+        for key, (count, users) in stats.items()
+        if not (
             count >= config.min_support and len(users) >= config.min_distinct_users
-        ) or (config.trust_regular_echo and key in echoed)
-        if not practice_like:
-            suspected.add(key)
-    return frozenset(suspected)
-
-
-def _sql_patterns(
-    partials: list[ShardPartial],
-    suspected: frozenset,
-    exclude_suspected: bool,
-    cfg: RefinementConfig,
-) -> tuple[Pattern, ...]:
-    """Collapse SQL-path partials and apply the global reduce."""
-    aggregate = SqlPartialAggregate(attributes=cfg.mining.attributes)
-    for partial in partials:
-        for key, (count, users) in partial.groups.items():
-            if exclude_suspected:
-                values, cls_values = key
-                if cls_values in suspected:
-                    continue
-            else:
-                values = key
-            slot = aggregate.groups.get(values)
-            if slot is None:
-                aggregate.groups[values] = [count, set(users)]
-            else:
-                slot[0] += count
-                slot[1] |= users
-    return finalize_patterns(aggregate, cfg.mining)
-
-
-def _apriori_patterns(count_partials: list, cfg: RefinementConfig) -> tuple[Pattern, ...]:
-    """Merge SON phase-2 counts and apply the serial miner's reduce."""
-    merged: dict = {}
-    for partial in count_partials:
-        for values, (count, users) in partial.counts.items():
-            slot = merged.get(values)
-            if slot is None:
-                merged[values] = [count, set(users)]
-            else:
-                slot[0] += count
-                slot[1] |= users
-    patterns = [
-        Pattern(
-            rule=Rule.from_pairs(sorted(zip(cfg.mining.attributes, values))),
-            support=count,
-            distinct_users=len(users),
         )
-        for values, (count, users) in merged.items()
-        if count >= cfg.mining.min_support
-        and len(users) >= cfg.mining.min_distinct_users
-    ]
-    patterns.sort(key=lambda p: (-p.support, str(p.rule)))
-    return tuple(patterns)
+        and not (config.trust_regular_echo and key in echoed)
+    )
+
+
+def _global_positions(
+    partials: list[ShardPartial], offsets: list[int], values: GroupKey
+) -> Iterator[int]:
+    """The ascending global positions of one lifted rule's entries."""
+    for offset, partial in zip(offsets, partials):
+        for position in partial.rule_entries.get(values, ()):
+            yield offset + position
 
 
 def parallel_refine(
@@ -175,41 +149,39 @@ def parallel_refine(
     """Algorithm 2 as shard → partial aggregate → deterministic merge.
 
     Accepts exactly what :func:`repro.refinement.engine.refine` accepts
-    (plus requires ``config.execution`` for the worker count) and returns
-    an identical :class:`~repro.refinement.engine.RefinementResult` —
-    same patterns in the same order, same prune partition, same coverage
-    ratios and uncovered-entry indices.
+    for a built-in miner; ``config.execution`` sets the worker count
+    (default one).  Returns the literal pipeline's
+    :class:`~repro.refinement.engine.RefinementResult` — same patterns in
+    the same order, same prune partition, same coverage ratios and
+    uncovered-entry indices.
     """
     from repro.parallel.execution import ExecutionPolicy
 
     cfg = config or RefinementConfig()
     execution = cfg.execution or ExecutionPolicy()
     kind = _miner_kind(cfg.miner)
-    if len(audit_log) == 0:
-        raise RefinementError("cannot refine against an empty audit log")
-    if grounder is None:
-        grounder = Grounder(vocabulary)
-    elif grounder.vocabulary is not vocabulary:
-        raise RefinementError("refine called with a grounder for a different vocabulary")
+    grounder = checked_grounder(vocabulary, grounder)
+    attributes = cfg.mining.attributes
+    screened = cfg.exclude_suspected_violations
 
     reg = get_registry()
-    with reg.span("repro_parallel_stage", stage="shard"):
+    with reg.span("repro_refinement_stage", stage="filter"):
         shards = shards_of(audit_log, execution.shard_limit)
-    task = MapTask(
-        attributes=cfg.mining.attributes,
-        include_denied=cfg.include_denied,
-        exclude_suspected=cfg.exclude_suspected_violations,
-        collect_regular=(
-            cfg.exclude_suspected_violations and cfg.classify_scope == "log"
-        ),
-        miner=kind,
-        local_min_support=max(
-            1, -(-cfg.mining.min_support // max(1, len(shards)))
-        ),
-    )
-    with reg.span("repro_parallel_stage", stage="map"):
-        partials, mode = run_sharded(map_shard, shards, task, execution.workers)
-
+        task = MapTask(
+            attributes=attributes,
+            include_denied=cfg.include_denied,
+            exclude_suspected=screened,
+            collect_regular=screened and cfg.classify_scope == "log",
+            miner=kind,
+            local_min_support=max(
+                1, -(-cfg.mining.min_support // max(1, len(shards)))
+            ),
+        )
+        partials, mode = _map(map_shard, shards, task, execution.workers)
+    offsets = list(accumulate((partial.entries for partial in partials), initial=0))
+    total = offsets.pop()
+    if total == 0:
+        raise RefinementError("cannot refine against an empty audit log")
     if reg.enabled:
         reg.counter("repro_parallel_runs_total", mode=mode, miner=kind).inc()
         reg.counter("repro_parallel_shards_total").inc(len(shards))
@@ -220,85 +192,63 @@ def parallel_refine(
         for partial in partials:
             sizes.observe(partial.entries)
             worker_seconds.observe(partial.seconds)
+        reg.counter("repro_parallel_merged_groups_total").inc(
+            sum(len(partial.groups) for partial in partials)
+        )
 
-    with reg.span("repro_parallel_stage", stage="merge"):
+    with reg.span("repro_refinement_stage", stage="coverage"):
         # Distinct lifted rules in first-global-occurrence order: shard
-        # order plus each worker dict's insertion order restores the
-        # order a serial scan would have discovered them in.
+        # order plus each partial's insertion order restores the order a
+        # single scan discovers them in.
         rules: dict = {}
         for partial in partials:
             for values in partial.rule_entries:
                 if values not in rules:
-                    rules[values] = Rule.from_pairs(
-                        list(zip(cfg.mining.attributes, values))
-                    )
+                    rules[values] = Rule.from_pairs(list(zip(attributes, values)))
         audit_policy = Policy(
             rules.values(),
             source=PolicySource.AUDIT_LOG,
             name=f"P_AL({getattr(audit_log, 'name', 'audit_log')})",
         )
         coverage = compute_coverage(policy_store, audit_policy, vocabulary, grounder)
-        covering_mask = coverage.covering.mask
-        uncovered_rules = {
-            values
-            for values, rule in rules.items()
-            if grounder.ground_mask(rule) & ~covering_mask != 0
-        }
-        misses: list[int] = []
-        offset = 0
-        for partial in partials:
-            if uncovered_rules:
-                local = heap_merge(
-                    *(
-                        positions
-                        for values, positions in partial.rule_entries.items()
-                        if values in uncovered_rules
-                    )
-                )
-                misses.extend(offset + position for position in local)
-            offset += partial.entries
-        total = offset
-        matched = total - len(misses)
-        entry_coverage = EntryCoverageReport(
-            ratio=matched / total,
-            matched=matched,
-            total=total,
-            covering=coverage.covering,
-            uncovered_entries=tuple(misses),
+        entry_coverage = grouped_entry_coverage(
+            coverage.covering,
+            (
+                (rule, _global_positions(partials, offsets, values))
+                for values, rule in rules.items()
+            ),
+            total,
+            grounder,
         )
 
+    with reg.span("repro_refinement_stage", stage="extract"):
         suspected: frozenset = frozenset()
-        if cfg.exclude_suspected_violations:
+        if screened:
             suspected = _merge_suspected(partials, cfg.classifier or ClassifierConfig())
+        groups = fold_groups({}, *(partial.groups for partial in partials))
+        if kind == "sql" and screened:
+            # compound (values, classifier values) keys: drop the suspected
+            compound, groups = groups, {}
+            for (values, cls_values), slot in compound.items():
+                if cls_values not in suspected:
+                    fold_groups(groups, {values: slot})
+        elif kind == "apriori" and groups and (len(shards) > 1 or suspected):
+            # SON phase 2: exactly recount the locally frequent candidates
+            count_task = CountTask(
+                attributes=attributes,
+                include_denied=cfg.include_denied,
+                candidates=frozenset(groups),
+                suspected=suspected,
+            )
+            counts, _ = _map(count_shard, shards, count_task, execution.workers)
+            groups = fold_groups({}, *(partial.counts for partial in counts))
+        patterns = finalize_patterns(
+            SqlPartialAggregate(attributes=attributes, groups=groups),
+            cfg.mining,
+            apriori_pattern_order if kind == "apriori" else None,
+        )
 
-        if kind == "sql":
-            patterns = _sql_patterns(
-                partials, suspected, cfg.exclude_suspected_violations, cfg
-            )
-        else:
-            candidates = frozenset(
-                values for partial in partials for values in partial.groups
-            )
-            if candidates:
-                count_task = CountTask(
-                    attributes=cfg.mining.attributes,
-                    include_denied=cfg.include_denied,
-                    candidates=candidates,
-                    suspected=suspected,
-                )
-                with reg.span("repro_parallel_stage", stage="count"):
-                    count_partials, _ = run_sharded(
-                        count_shard, shards, count_task, execution.workers
-                    )
-                patterns = _apriori_patterns(count_partials, cfg)
-            else:
-                patterns = ()
-        if reg.enabled:
-            reg.counter("repro_parallel_merged_groups_total").inc(
-                sum(len(partial.groups) for partial in partials)
-            )
-
-    with reg.span("repro_parallel_stage", stage="prune"):
+    with reg.span("repro_refinement_stage", stage="prune"):
         prune_result = prune_patterns(patterns, policy_store, vocabulary, grounder)
 
     practice_source = audit_log
@@ -319,7 +269,7 @@ def parallel_refine(
     # re-classification pass over the whole trail.
     suspected_rules = (
         {Rule.from_pairs(list(zip(RULE_ATTRIBUTES, key))) for key in suspected}
-        if cfg.exclude_suspected_violations
+        if screened
         else None
     )
     include_denied = cfg.include_denied
@@ -333,20 +283,4 @@ def parallel_refine(
 
     practice = practice_source.where(_is_practice)
     practice.name = f"{getattr(audit_log, 'name', 'audit_source')}.practice"
-    if reg.enabled:
-        reg.counter("repro_refinement_runs_total").inc()
-        reg.counter("repro_refinement_patterns_mined_total").inc(len(patterns))
-        reg.counter("repro_refinement_patterns_useful_total").inc(
-            len(prune_result.useful)
-        )
-        reg.counter("repro_refinement_patterns_pruned_total").inc(
-            len(prune_result.pruned)
-        )
-    return RefinementResult(
-        practice=practice,
-        patterns=patterns,
-        useful_patterns=prune_result.useful,
-        pruned_patterns=prune_result.pruned,
-        coverage=coverage,
-        entry_coverage=entry_coverage,
-    )
+    return finish_refinement(practice, patterns, prune_result, coverage, entry_coverage)

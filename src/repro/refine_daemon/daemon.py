@@ -47,7 +47,11 @@ from repro.coverage.engine import compute_coverage
 from repro.coverage.incremental import IncrementalCoverage
 from repro.errors import DaemonError
 from repro.mining.patterns import MiningConfig, Pattern
-from repro.mining.sql_patterns import SqlPartialAggregate, finalize_patterns
+from repro.mining.sql_patterns import (
+    SqlPartialAggregate,
+    finalize_patterns,
+    fold_groups,
+)
 from repro.obs import trace as obstrace
 from repro.obs.runtime import get_registry
 from repro.parallel.partials import MapTask, ShardPartial, map_shard
@@ -370,13 +374,7 @@ class RefineDaemon:
             rule = self._rule_for(values)
             for _ in range(count):
                 self._tracker.observe(rule)
-        for values, (count, users) in partial.groups.items():
-            slot = state.groups.get(values)
-            if slot is None:
-                state.groups[values] = [count, set(users)]
-            else:
-                slot[0] += count
-                slot[1] |= users
+        fold_groups(state.groups, partial.groups)
         if partial.exception_entries:
             for values, positions in partial.exception_entries.items():
                 evidence = state.evidence.setdefault(values, [])

@@ -1,10 +1,21 @@
 """Algorithm 2: ``Refinement`` — the whole pipeline in one call.
 
-``refine`` wires Filter → extractPatterns → Prune exactly as the paper's
-pseudocode does, and additionally reports the coverage of the store over
-the log before refinement (both semantics — see
-:mod:`repro.coverage.engine`), since that is the number the architecture
-is trying to move.
+``refine`` runs the paper's Filter → extractPatterns → Prune and
+additionally reports the coverage of the store over the log before
+refinement (both semantics — see :mod:`repro.coverage.engine`), since
+that is the number the architecture is trying to move.
+
+For the built-in miners (the default SQL GROUP BY and Apriori) every
+call runs the one shard → map → merge kernel of
+:mod:`repro.parallel.refine`: one worker maps a single shard
+in-process, reading the trail once; more workers fan the shards out to
+a process pool.  A custom :class:`~repro.mining.patterns.PatternMiner`
+has no partial-aggregate form, so it gets the literal pipeline below —
+lift the log for coverage, :func:`filter_practice`,
+:func:`extract_patterns`, :func:`prune_patterns` — which keeps
+``extractPatterns`` the pluggable interface the paper describes.  The
+literal pipeline over :class:`~repro.mining.sql_patterns.SqlPatternMiner`
+(the paper's SQL statement) is the oracle the kernel is tested against.
 """
 
 from __future__ import annotations
@@ -26,7 +37,7 @@ from repro.obs.runtime import get_registry
 from repro.policy.grounding import Grounder
 from repro.policy.policy import Policy
 from repro.refinement.extract import extract_patterns
-from repro.refinement.filtering import filter_practice
+from repro.refinement.filtering import CLASSIFY_SCOPES, filter_practice
 from repro.refinement.prune import PruneResult, prune_patterns
 from repro.vocab.vocabulary import Vocabulary
 
@@ -38,19 +49,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class RefinementConfig:
     """Everything tunable about one refinement run.
 
-    ``mining`` carries the Algorithm 4 parameters (including
-    ``index_practice``, which lets the SQL miner index its throwaway
-    practice table; the planner's grouped scan makes this unnecessary for
-    the default single-pass analysis, and either setting yields identical
-    patterns).  ``include_denied``,
+    ``mining`` carries the Algorithm 4 parameters.  ``include_denied``,
     ``exclude_suspected_violations`` and ``classify_scope`` control
     Algorithm 3's filtering (see
     :func:`~repro.refinement.filtering.filter_practice`).  ``execution``
-    opts into the sharded parallel path
-    (:mod:`repro.parallel`): with ``ExecutionPolicy(workers=N)`` and a
-    built-in miner the run is delegated to
-    :func:`~repro.parallel.refine.parallel_refine`; custom miners have no
-    partial-aggregate form and fall back to the serial pipeline.
+    sets the worker count of the refinement kernel
+    (:mod:`repro.parallel`): ``None`` or ``ExecutionPolicy(workers=1)``
+    maps the trail as one in-process shard, ``ExecutionPolicy(workers=N)``
+    shards it over a process pool.  Custom miners have no
+    partial-aggregate form and always run the serial literal pipeline.
     """
 
     mining: MiningConfig = field(default_factory=MiningConfig)
@@ -60,6 +67,13 @@ class RefinementConfig:
     classifier: ClassifierConfig | None = None
     classify_scope: str = "log"
     execution: "ExecutionPolicy | None" = None
+
+    def __post_init__(self) -> None:
+        if self.classify_scope not in CLASSIFY_SCOPES:
+            raise ValueError(
+                f"unknown classify_scope {self.classify_scope!r} "
+                f"(choose from {CLASSIFY_SCOPES})"
+            )
 
 
 @dataclass(frozen=True)
@@ -104,30 +118,28 @@ def refine(
     result's :attr:`~RefinementResult.useful_patterns` is the paper's
     ``usefulPatterns`` return value, with evidence attached.
 
+    With a built-in miner this is the one-shard case of
+    :func:`~repro.parallel.refine.parallel_refine` (a single streaming
+    pass over the trail; ``config.execution`` only sets the worker
+    count).  A custom miner runs the literal Filter → extract → Prune
+    pipeline.
+
     Pass a shared ``grounder`` when refining repeatedly over one
     vocabulary (the refinement loop does): store rules survive between
     rounds, so their memoised expansions and interned range masks are
     reused instead of re-ground every round.
     """
     cfg = config or RefinementConfig()
-    if cfg.execution is not None and cfg.execution.workers > 1:
-        from repro.parallel.refine import parallel_refine, supports_parallel_miner
+    from repro.parallel.refine import parallel_refine, supports_parallel_miner
 
-        if supports_parallel_miner(cfg.miner):
-            return parallel_refine(policy_store, audit_log, vocabulary, cfg, grounder)
-        fallback_reg = get_registry()
-        if fallback_reg.enabled:
-            fallback_reg.counter(
-                "repro_parallel_fallbacks_total", reason="custom_miner"
-            ).inc()
+    if supports_parallel_miner(cfg.miner):
+        return parallel_refine(policy_store, audit_log, vocabulary, cfg, grounder)
+    reg = get_registry()
+    if cfg.execution is not None and cfg.execution.workers > 1 and reg.enabled:
+        reg.counter("repro_parallel_fallbacks_total", reason="custom_miner").inc()
     if len(audit_log) == 0:
         raise RefinementError("cannot refine against an empty audit log")
-
-    if grounder is None:
-        grounder = Grounder(vocabulary)
-    elif grounder.vocabulary is not vocabulary:
-        raise RefinementError("refine called with a grounder for a different vocabulary")
-    reg = get_registry()
+    grounder = checked_grounder(vocabulary, grounder)
     with reg.span("repro_refinement_stage", stage="coverage"):
         audit_policy = audit_log.to_policy(cfg.mining.attributes)
         coverage = compute_coverage(policy_store, audit_policy, vocabulary, grounder)
@@ -146,9 +158,28 @@ def refine(
     with reg.span("repro_refinement_stage", stage="extract"):
         patterns = extract_patterns(practice, cfg.mining, cfg.miner)
     with reg.span("repro_refinement_stage", stage="prune"):
-        prune_result: PruneResult = prune_patterns(
-            patterns, policy_store, vocabulary, grounder
-        )
+        prune_result = prune_patterns(patterns, policy_store, vocabulary, grounder)
+    return finish_refinement(practice, patterns, prune_result, coverage, entry_coverage)
+
+
+def checked_grounder(vocabulary: Vocabulary, grounder: Grounder | None) -> Grounder:
+    """``grounder``, or a fresh one; refuse one built for another vocabulary."""
+    if grounder is None:
+        return Grounder(vocabulary)
+    if grounder.vocabulary is not vocabulary:
+        raise RefinementError("refine called with a grounder for a different vocabulary")
+    return grounder
+
+
+def finish_refinement(
+    practice: AuditLog,
+    patterns: tuple[Pattern, ...],
+    prune_result: PruneResult,
+    coverage: CoverageReport,
+    entry_coverage: EntryCoverageReport,
+) -> RefinementResult:
+    """Count one finished run in the registry and assemble its result."""
+    reg = get_registry()
     if reg.enabled:
         reg.counter("repro_refinement_runs_total").inc()
         reg.counter("repro_refinement_patterns_mined_total").inc(len(patterns))

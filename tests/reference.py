@@ -1,0 +1,73 @@
+"""The literal Algorithm 2 pipeline: the oracle for ``refine()``.
+
+``refine()`` runs the built-in miners through the one shard → map →
+merge kernel.  :func:`reference_refine` runs the paper's pipeline
+step by step instead — lift the log for coverage, Filter, the miner's
+own ``mine`` (for the default miner, the Algorithm 5 SQL statement on a
+sqlmini copy), Prune — sharing none of the kernel's merge code.  The
+identity suites, E2 and E17 compare the two with :func:`assert_identical`.
+"""
+
+from __future__ import annotations
+
+from repro.coverage.engine import compute_coverage, compute_entry_coverage
+from repro.mining.sql_patterns import SqlPatternMiner
+from repro.policy.grounding import Grounder
+from repro.refinement.engine import RefinementConfig, RefinementResult
+from repro.refinement.filtering import filter_practice
+from repro.refinement.prune import prune_patterns
+
+
+def reference_refine(
+    policy_store, log, vocabulary, config=None, grounder=None
+) -> RefinementResult:
+    """Filter → ``miner.mine`` → Prune, plus both coverages, literally."""
+    cfg = config or RefinementConfig()
+    grounder = grounder or Grounder(vocabulary)
+    audit_policy = log.to_policy(cfg.mining.attributes)
+    coverage = compute_coverage(policy_store, audit_policy, vocabulary, grounder)
+    practice = filter_practice(
+        log,
+        include_denied=cfg.include_denied,
+        exclude_suspected_violations=cfg.exclude_suspected_violations,
+        classifier_config=cfg.classifier,
+        classify_scope=cfg.classify_scope,
+    )
+    patterns = (cfg.miner or SqlPatternMiner()).mine(practice, cfg.mining)
+    pruned = prune_patterns(patterns, policy_store, vocabulary, grounder)
+    entry_coverage = compute_entry_coverage(
+        policy_store, iter(audit_policy), vocabulary, grounder
+    )
+    return RefinementResult(
+        practice=practice,
+        patterns=patterns,
+        useful_patterns=pruned.useful,
+        pruned_patterns=pruned.pruned,
+        coverage=coverage,
+        entry_coverage=entry_coverage,
+    )
+
+
+def result_fields(result: RefinementResult) -> dict:
+    """Every field the identity checks compare (the practice view is
+    iterated, which scans the trail again for a durable log)."""
+    return {
+        "patterns": result.patterns,
+        "useful_patterns": result.useful_patterns,
+        "pruned_patterns": result.pruned_patterns,
+        "coverage.ratio": result.coverage.ratio,
+        "coverage.overlap": result.coverage.overlap,
+        "coverage.reference": result.coverage.reference,
+        "entry_coverage.ratio": result.entry_coverage.ratio,
+        "entry_coverage.matched": result.entry_coverage.matched,
+        "entry_coverage.total": result.entry_coverage.total,
+        "entry_coverage.uncovered_entries": result.entry_coverage.uncovered_entries,
+        "practice": [(entry.time, entry.user) for entry in result.practice],
+        "practice.name": result.practice.name,
+    }
+
+
+def assert_identical(expected: RefinementResult, actual: RefinementResult) -> None:
+    want, got = result_fields(expected), result_fields(actual)
+    for name, value in want.items():
+        assert got[name] == value, f"{name} differs"

@@ -1,16 +1,20 @@
 """Tests for the sharded map-reduce refinement layer (repro.parallel).
 
-The headline property is *serial equivalence*: a parallel refine must
-return exactly what the serial pipeline returns — patterns in the same
-order, identical prune partition, identical coverage ratios and
-uncovered-entry indices, identical practice subset — over every source
-shape and miner the layer supports.
+The headline property is *equivalence*: serial and sharded ``refine()``
+are both the one kernel, so each must also return exactly what the
+literal pipeline (``tests/reference.py``: Filter → the miner's own
+``mine`` → Prune) returns — patterns in the same order, identical prune
+partition, identical coverage ratios and uncovered-entry indices,
+identical practice subset — over every source shape and miner the layer
+supports.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro import obs
+from repro.audit.classify import ClassifierConfig
 from repro.audit.log import AuditLog, make_entry
 from repro.audit.schema import AccessStatus
 from repro.errors import RefinementError
@@ -32,6 +36,7 @@ from repro.policy.rule import Rule
 from repro.refinement.engine import RefinementConfig, refine
 from repro.store.durable import copy_to_durable
 from repro.store.store import StoreConfig
+from tests.reference import assert_identical, reference_refine
 
 
 # The ``vocabulary`` fixture comes from conftest (Figure 1 healthcare
@@ -87,26 +92,6 @@ def build_log(entries: int = 400, name: str = "trail") -> AuditLog:
     return log
 
 
-def assert_identical(serial, par):
-    assert serial.patterns == par.patterns
-    assert serial.useful_patterns == par.useful_patterns
-    assert serial.pruned_patterns == par.pruned_patterns
-    assert serial.coverage.ratio == par.coverage.ratio
-    assert serial.coverage.overlap == par.coverage.overlap
-    assert serial.coverage.reference == par.coverage.reference
-    assert serial.entry_coverage.ratio == par.entry_coverage.ratio
-    assert serial.entry_coverage.matched == par.entry_coverage.matched
-    assert serial.entry_coverage.total == par.entry_coverage.total
-    assert (
-        serial.entry_coverage.uncovered_entries
-        == par.entry_coverage.uncovered_entries
-    )
-    assert [(e.time, e.user) for e in serial.practice] == [
-        (e.time, e.user) for e in par.practice
-    ]
-    assert serial.practice.name == par.practice.name
-
-
 CONFIG_CASES = {
     "sql": {},
     "sql-screened": {"exclude_suspected_violations": True},
@@ -144,7 +129,12 @@ class TestSerialEquivalence:
             Grounder(vocabulary),
         )
         assert serial.patterns  # the workload must actually mine something
-        assert_identical(serial, par)
+        literal = reference_refine(
+            policy_store, log, vocabulary,
+            RefinementConfig(mining=mining, **kwargs), Grounder(vocabulary),
+        )
+        assert_identical(literal, serial)
+        assert_identical(literal, par)
 
     @pytest.mark.parametrize("case", sorted(CONFIG_CASES))
     def test_multi_segment_durable_store(self, case, policy_store, vocabulary, tmp_path):
@@ -167,7 +157,12 @@ class TestSerialEquivalence:
                 ),
                 Grounder(vocabulary),
             )
-            assert_identical(serial, par)
+            literal = reference_refine(
+                policy_store, durable, vocabulary,
+                RefinementConfig(mining=mining, **kwargs), Grounder(vocabulary),
+            )
+            assert_identical(literal, serial)
+            assert_identical(literal, par)
         finally:
             durable.close()
 
@@ -193,8 +188,10 @@ class TestSerialEquivalence:
             policy_store, log, vocabulary,
             RefinementConfig(execution=ExecutionPolicy(workers=2)), grounder,
         )
-        assert serial.coverage.overlap == par.coverage.overlap
-        assert serial.entry_coverage.covering == par.entry_coverage.covering
+        literal = reference_refine(policy_store, log, vocabulary, None, grounder)
+        for result in (serial, par):
+            assert result.coverage.overlap == literal.coverage.overlap
+            assert result.entry_coverage.covering == literal.entry_coverage.covering
 
     def test_federation_matches_consolidated_serial(self, policy_store, vocabulary, tmp_path):
         from repro.hdb.federation import AuditFederation
@@ -217,15 +214,132 @@ class TestSerialEquivalence:
                 policy_store, federation.consolidated_log(), vocabulary,
                 None, Grounder(vocabulary),
             )
+            literal = reference_refine(
+                policy_store, federation.consolidated_log(), vocabulary,
+                None, Grounder(vocabulary),
+            )
             # order-insensitive quantities agree with the time-merged serial
-            # run; entry indices follow the federation's site-major order so
-            # they are not compared.
-            assert par.patterns == serial.patterns
-            assert par.coverage.ratio == serial.coverage.ratio
-            assert par.entry_coverage.ratio == serial.entry_coverage.ratio
+            # run and the literal pipeline; entry indices follow the
+            # federation's site-major order so they are not compared.
+            for expected in (serial, literal):
+                assert par.patterns == expected.patterns
+                assert par.coverage.ratio == expected.coverage.ratio
+                assert par.entry_coverage.ratio == expected.entry_coverage.ratio
             assert par.entry_coverage.total == len(federation)
         finally:
             durable.close()
+
+
+# ----------------------------------------------------------------------
+# one kernel for every worker count
+# ----------------------------------------------------------------------
+def _refine_metrics(policy_store, log, vocabulary, workers: int) -> dict:
+    """Run one refine() under a private registry; its refinement and
+    coverage counters plus the sample counts of their span histograms."""
+    config = RefinementConfig(execution=ExecutionPolicy(workers=workers))
+    with obs.use_registry(obs.MetricsRegistry()) as registry:
+        refine(policy_store, log, vocabulary, config, Grounder(vocabulary))
+        snapshot = registry.snapshot()
+    prefixes = ("repro_refinement_", "repro_coverage_")
+    metrics = {}
+    for section, field in (("counters", "value"), ("histograms", "count")):
+        for sample in snapshot[section]:
+            if sample["name"].startswith(prefixes):
+                labels = tuple(sorted(sample["labels"].items()))
+                metrics[(section, sample["name"], labels)] = sample[field]
+    return metrics
+
+
+class TestOneKernel:
+    def test_serial_refine_decodes_each_entry_once(
+        self, policy_store, vocabulary, tmp_path, monkeypatch
+    ):
+        from repro.store import segment
+
+        durable = copy_to_durable(
+            build_log(), tmp_path / "store", config=StoreConfig(max_segment_entries=45)
+        )
+        decoded = []
+        decode = segment.decode_payload
+
+        def counting_decode(payload):
+            decoded.append(1)
+            return decode(payload)
+
+        try:
+            assert durable.stats().segments >= 5
+            monkeypatch.setattr(segment, "decode_payload", counting_decode)
+            refine(policy_store, durable, vocabulary)
+            assert len(decoded) == len(durable)
+        finally:
+            durable.close()
+
+    @pytest.mark.parametrize("miner", [SqlPatternMiner(), AprioriPatternMiner()])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_screening_drops_a_frequent_suspected_rule(
+        self, miner, workers, policy_store, vocabulary
+    ):
+        """A rule frequent enough to mine but too rare for a strict
+        classifier: one shard's map counts it, so the merge must drop it."""
+        log = AuditLog(name="screened")
+        for tick in range(40):
+            combo = ("referral", "registration", "nurse") if tick % 4 else (
+                "psychiatry", "billing", "clerk"
+            )
+            log.append(make_entry(tick, f"u{tick % 3}", *combo,
+                                  status=AccessStatus.EXCEPTION))
+        config = RefinementConfig(
+            miner=miner,
+            exclude_suspected_violations=True,
+            classifier=ClassifierConfig(min_support=20),
+            execution=ExecutionPolicy(workers=workers),
+        )
+        literal = reference_refine(policy_store, log, vocabulary, config)
+        assert [str(p.rule.value_of("data")) for p in literal.patterns] == ["referral"]
+        assert_identical(literal, refine(policy_store, log, vocabulary, config))
+
+    @pytest.mark.parametrize("miner", [SqlPatternMiner(), AprioriPatternMiner()])
+    def test_one_worker_maps_several_shards_in_process(
+        self, miner, policy_store, vocabulary, monkeypatch
+    ):
+        from repro.parallel import refine as kernel
+
+        def no_pool(*args):
+            raise AssertionError("one worker must not reach run_sharded")
+
+        monkeypatch.setattr(kernel, "run_sharded", no_pool)
+        log = build_log()
+        config = RefinementConfig(
+            miner=miner, execution=ExecutionPolicy(workers=1, max_shards=3)
+        )
+        assert len(shards_of(log, config.execution.shard_limit)) == 3
+        assert_identical(
+            reference_refine(policy_store, log, vocabulary, config),
+            refine(policy_store, log, vocabulary, config),
+        )
+
+    def test_unknown_classify_scope_rejected_by_config(self):
+        with pytest.raises(ValueError):
+            RefinementConfig(classify_scope="everything")
+
+    def test_metrics_match_across_worker_counts(self, policy_store, vocabulary):
+        log = build_log()
+        serial = _refine_metrics(policy_store, log, vocabulary, workers=1)
+        sharded = _refine_metrics(policy_store, log, vocabulary, workers=2)
+        assert serial == sharded
+        stages = {
+            labels: count
+            for (section, name, labels), count in serial.items()
+            if name == "repro_refinement_stage_seconds"
+        }
+        assert stages == {
+            (("stage", stage),): 1 for stage in ("coverage", "filter", "extract", "prune")
+        }
+        for kind in ("set", "entry"):
+            key = ("counters", "repro_coverage_computations_total", (("kind", kind),))
+            assert sharded[key] == 1
+            key = ("histograms", "repro_coverage_compute_seconds", (("kind", kind),))
+            assert sharded[key] == 1
 
 
 # ----------------------------------------------------------------------
