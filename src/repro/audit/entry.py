@@ -10,6 +10,16 @@ from repro.policy.rule import Rule
 from repro.vocab.tree import canonical
 
 
+def canonical_field(attribute: str, value: object) -> str:
+    """Validate one of an entry's string attributes and return its
+    canonical form: a non-empty string after ``strip()``, then
+    :func:`~repro.vocab.tree.canonical`.  Raises
+    :class:`~repro.errors.AuditError` otherwise."""
+    if not isinstance(value, str) or not value.strip():
+        raise AuditError(f"audit {attribute} must be a non-empty string")
+    return canonical(value)
+
+
 @dataclass(frozen=True, slots=True)
 class AuditEntry:
     """One audited access.
@@ -39,10 +49,42 @@ class AuditEntry:
         object.__setattr__(self, "op", AccessOp(self.op))
         object.__setattr__(self, "status", AccessStatus(self.status))
         for attribute in ("user", "data", "purpose", "authorized"):
-            value = getattr(self, attribute)
-            if not isinstance(value, str) or not value.strip():
-                raise AuditError(f"audit {attribute} must be a non-empty string")
-            object.__setattr__(self, attribute, canonical(value))
+            object.__setattr__(
+                self, attribute, canonical_field(attribute, getattr(self, attribute))
+            )
+
+    @classmethod
+    def _from_checked(
+        cls,
+        time: int,
+        op: AccessOp,
+        user: str,
+        data: str,
+        purpose: str,
+        authorized: str,
+        status: AccessStatus,
+        truth: str,
+    ) -> "AuditEntry":
+        """Build an entry whose fields already hold what ``__post_init__``
+        would store, without running it again.
+
+        The caller vouches for the invariant: ``time`` is non-negative,
+        ``op``/``status`` are enum members, and the four attributes came
+        out of :func:`canonical_field`.  Only the store codec uses this,
+        for records the store wrote and CRC-checked; every external input
+        goes through the validating constructor.
+        """
+        entry = object.__new__(cls)
+        set_field = object.__setattr__
+        set_field(entry, "time", time)
+        set_field(entry, "op", op)
+        set_field(entry, "user", user)
+        set_field(entry, "data", data)
+        set_field(entry, "purpose", purpose)
+        set_field(entry, "authorized", authorized)
+        set_field(entry, "status", status)
+        set_field(entry, "truth", truth)
+        return entry
 
     # ------------------------------------------------------------------
     # predicates

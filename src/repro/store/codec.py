@@ -19,6 +19,18 @@ truncates the file back to the last frame that passes all three checks.
 The evaluation-only ``truth`` label is stored (like the JSONL format, and
 unlike CSV) so a durable log round-trips everything the in-memory log
 holds.
+
+Trust boundary: a record reaches :func:`decode_payload` only after its
+frame passed the length and CRC checks, so it is one the store wrote.
+It is still validated, but each distinct field value once: a memo maps
+a field's raw bytes to the canonical string the ``AuditEntry``
+constructor would have made of them (UTF-8, non-empty after ``strip()``,
+:func:`~repro.vocab.tree.canonical`), ``op``/``status`` come from a fixed
+lookup, and the entry is built without re-running the constructor's
+checks.  Segment readers keep one memo per segment read, so it is bounded
+by one segment's distinct values.  External input — CSV, JSONL, served
+frames, ``AuditEntry.from_dict`` — goes through the validating
+constructor for every record.
 """
 
 from __future__ import annotations
@@ -26,7 +38,7 @@ from __future__ import annotations
 import struct
 import zlib
 
-from repro.audit.entry import AuditEntry
+from repro.audit.entry import AuditEntry, canonical_field
 from repro.audit.schema import AccessOp, AccessStatus
 from repro.errors import AuditError, StoreError
 
@@ -53,6 +65,14 @@ _FRAME = struct.Struct("<II")
 _FIXED = struct.Struct("<QBB")
 _STRLEN = struct.Struct("<I")
 
+#: ``op``/``status`` bytes to their enum members; any other byte is corrupt.
+_OPS = {int(member): member for member in AccessOp}
+_STATUSES = {int(member): member for member in AccessStatus}
+
+#: The validated string fields, in payload order (``truth`` follows them
+#: and is stored as written).
+_ATTRIBUTES = ("user", "data", "purpose", "authorized")
+
 
 def encode_payload(entry: AuditEntry) -> bytes:
     """Serialise one :class:`~repro.audit.entry.AuditEntry` to payload bytes."""
@@ -64,37 +84,54 @@ def encode_payload(entry: AuditEntry) -> bytes:
     return b"".join(parts)
 
 
-def decode_payload(payload: bytes) -> AuditEntry:
-    """Rebuild an :class:`~repro.audit.entry.AuditEntry` from payload bytes."""
+def decode_payload(payload: bytes, strings: dict[bytes, str] | None = None) -> AuditEntry:
+    """Rebuild an :class:`~repro.audit.entry.AuditEntry` from payload bytes.
+
+    ``strings`` memoises the four validated attributes: it maps a field's
+    raw bytes to the canonical string :func:`canonical_field` made of
+    them, so a value is decoded and checked once however many records
+    repeat it.  A field that fails the check raises and never enters the
+    memo.  Pass one dict for all records of a segment; without one, each
+    call uses a fresh memo.
+    """
+    if strings is None:
+        strings = {}
     try:
-        time, op, status = _FIXED.unpack_from(payload, 0)
+        time, op_code, status_code = _FIXED.unpack_from(payload, 0)
+        op = _OPS.get(op_code)
+        status = _STATUSES.get(status_code)
+        if op is None or status is None:
+            raise StoreError(f"unknown op {op_code} or status {status_code}")
+        size = len(payload)
         offset = _FIXED.size
-        strings = []
-        for _ in range(5):
+        values = []
+        for attribute in _ATTRIBUTES:
             (length,) = _STRLEN.unpack_from(payload, offset)
             offset += _STRLEN.size
             end = offset + length
-            if end > len(payload):
+            if end > size:
                 raise StoreError("string field runs past the end of the payload")
-            strings.append(payload[offset:end].decode("utf-8"))
+            raw = payload[offset:end]
+            value = strings.get(raw)
+            if value is None:
+                value = canonical_field(attribute, raw.decode("utf-8"))
+                strings[raw] = value
+            values.append(value)
             offset = end
-        if offset != len(payload):
-            raise StoreError(f"{len(payload) - offset} trailing bytes in payload")
-        user, data, purpose, authorized, truth = strings
-        return AuditEntry(
-            time=time,
-            op=AccessOp(op),
-            user=user,
-            data=data,
-            purpose=purpose,
-            authorized=authorized,
-            status=AccessStatus(status),
-            truth=truth,
-        )
+        (length,) = _STRLEN.unpack_from(payload, offset)
+        offset += _STRLEN.size
+        end = offset + length
+        if end != size:
+            raise StoreError(f"truth field ends at byte {end} of a {size}-byte payload")
+        truth = payload[offset:end].decode("utf-8")
     except StoreError:
         raise
-    except (struct.error, UnicodeDecodeError, ValueError, AuditError) as exc:
+    except (struct.error, UnicodeDecodeError, AuditError) as exc:
         raise StoreError(f"undecodable audit record payload: {exc}") from exc
+    user, data, purpose, authorized = values
+    return AuditEntry._from_checked(
+        time, op, user, data, purpose, authorized, status, truth
+    )
 
 
 def frame(payload: bytes) -> bytes:

@@ -87,13 +87,14 @@ def scan_segment(
     entries = 0
     first_time: int | None = None
     last_time: int | None = None
+    strings: dict[bytes, str] = {}
     while True:
         result = read_frame(raw, offset)
         if result is None:
             break
         payload, next_offset = result
         try:
-            entry = decode_payload(payload)
+            entry = decode_payload(payload, strings)
         except StoreError:
             break  # checksum-valid but undecodable: treat as end of prefix
         if visit is not None:
@@ -124,19 +125,24 @@ def iter_segment(path: str | Path, start_offset: int = HEADER_SIZE) -> Iterator[
         return
     check_header(raw, Path(path))
     offset = start_offset
+    strings: dict[bytes, str] = {}
     while True:
         result = read_frame(raw, offset)
         if result is None:
             return
         payload, offset = result
-        yield decode_payload(payload)
+        yield decode_payload(payload, strings)
 
 
-def read_record_at(handle: BinaryIO, offset: int) -> AuditEntry:
+def read_record_at(
+    handle: BinaryIO, offset: int, strings: dict[bytes, str] | None = None
+) -> AuditEntry:
     """Random-access read of the record starting at byte ``offset``.
 
     Used by index-driven lookups; raises :class:`~repro.errors.StoreError`
-    when the frame at ``offset`` is invalid.
+    when the frame at ``offset`` is invalid.  ``strings`` is the field
+    memo of :func:`~repro.store.codec.decode_payload`; share one across
+    reads from the same segment.
     """
     handle.seek(offset)
     header = handle.read(FRAME_OVERHEAD)
@@ -146,7 +152,7 @@ def read_record_at(handle: BinaryIO, offset: int) -> AuditEntry:
     payload = handle.read(length)
     if len(payload) != length or zlib.crc32(payload) != crc:
         raise StoreError(f"corrupt record frame at offset {offset}")
-    return decode_payload(payload)
+    return decode_payload(payload, strings)
 
 
 class SegmentWriter:

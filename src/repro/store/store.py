@@ -541,16 +541,18 @@ class AuditStore:
             offsets = matching_offsets(index)
             if not offsets:
                 continue
+            strings: dict[bytes, str] = {}
             with (self.directory / meta.name).open("rb") as handle:
                 for offset in offsets:
-                    yield read_record_at(handle, offset)
+                    yield read_record_at(handle, offset, strings)
         offsets = matching_offsets(self._builder.index)
         if offsets:
             if not self._closed:
                 self._writer.flush(sync=False)
+            strings = {}
             with self._writer.path.open("rb") as handle:
                 for offset in offsets:
-                    yield read_record_at(handle, offset)
+                    yield read_record_at(handle, offset, strings)
 
     def tail(self, count: int) -> tuple[AuditEntry, ...]:
         """The last ``count`` entries, scanning newest segments first."""

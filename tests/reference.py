@@ -6,16 +6,63 @@ step by step instead — lift the log for coverage, Filter, the miner's
 own ``mine`` (for the default miner, the Algorithm 5 SQL statement on a
 sqlmini copy), Prune — sharing none of the kernel's merge code.  The
 identity suites, E2 and E17 compare the two with :func:`assert_identical`.
+
+:func:`reference_decode` is the store codec's validating decode: every
+record goes through the ``AuditEntry`` constructor.  The codec decodes
+through a per-segment field memo instead; ``tests/test_store_codec.py``
+holds the two equal.
 """
 
 from __future__ import annotations
 
+import struct
+
+from repro.audit.entry import AuditEntry
+from repro.audit.schema import AccessOp, AccessStatus
 from repro.coverage.engine import compute_coverage, compute_entry_coverage
+from repro.errors import AuditError, StoreError
 from repro.mining.sql_patterns import SqlPatternMiner
 from repro.policy.grounding import Grounder
 from repro.refinement.engine import RefinementConfig, RefinementResult
 from repro.refinement.filtering import filter_practice
 from repro.refinement.prune import prune_patterns
+
+_FIXED = struct.Struct("<QBB")
+_STRLEN = struct.Struct("<I")
+
+
+def reference_decode(payload: bytes) -> AuditEntry:
+    """Rebuild an entry from payload bytes through the validating
+    constructor (the codec's ``decode_payload`` before its field memo)."""
+    try:
+        time, op, status = _FIXED.unpack_from(payload, 0)
+        offset = _FIXED.size
+        strings = []
+        for _ in range(5):
+            (length,) = _STRLEN.unpack_from(payload, offset)
+            offset += _STRLEN.size
+            end = offset + length
+            if end > len(payload):
+                raise StoreError("string field runs past the end of the payload")
+            strings.append(payload[offset:end].decode("utf-8"))
+            offset = end
+        if offset != len(payload):
+            raise StoreError(f"{len(payload) - offset} trailing bytes in payload")
+        user, data, purpose, authorized, truth = strings
+        return AuditEntry(
+            time=time,
+            op=AccessOp(op),
+            user=user,
+            data=data,
+            purpose=purpose,
+            authorized=authorized,
+            status=AccessStatus(status),
+            truth=truth,
+        )
+    except StoreError:
+        raise
+    except (struct.error, UnicodeDecodeError, ValueError, AuditError) as exc:
+        raise StoreError(f"undecodable audit record payload: {exc}") from exc
 
 
 def reference_refine(

@@ -262,9 +262,9 @@ class TestOneKernel:
         decoded = []
         decode = segment.decode_payload
 
-        def counting_decode(payload):
+        def counting_decode(payload, *rest):
             decoded.append(1)
-            return decode(payload)
+            return decode(payload, *rest)
 
         try:
             assert durable.stats().segments >= 5
