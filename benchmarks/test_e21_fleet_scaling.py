@@ -43,7 +43,6 @@ from repro.serve import (
     ServerThread,
     build_demo_engine,
     run_load,
-    run_load_open,
 )
 from repro.store.durable import DurableAuditLog
 from repro.store.store import StoreConfig
@@ -166,7 +165,7 @@ def _capacity_probe(root: Path, workers: int, payloads) -> dict:
     sweep = []
     with FleetSupervisor(config) as supervisor:
         for rate in _SWEEP_RATES:
-            report = run_load_open(
+            report = run_load(
                 supervisor.host, supervisor.port, payloads,
                 target_rps=rate, clients=4, processes=processes,
             )
@@ -175,7 +174,7 @@ def _capacity_probe(root: Path, workers: int, payloads) -> dict:
         "workers": workers,
         "driver_processes": processes,
         "sweep": sweep,
-        "capacity_rps": max(point["achieved_rps"] for point in sweep),
+        "capacity_rps": max(point["throughput_rps"] for point in sweep),
     }
 
 

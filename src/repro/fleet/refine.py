@@ -176,8 +176,7 @@ class FleetRefineDaemon(RefineDaemon):
                 new_marks[site] = total
                 continue
             shards = shards_past_watermark(
-                directory, sealed, mark, self.config.shard_limit,
-                label=f"{self.name}:{site}",
+                directory, sealed, mark, label=f"{self.name}:{site}"
             )
             consumed = 0
             for shard in shards:

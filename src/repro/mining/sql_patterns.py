@@ -24,18 +24,16 @@ summing supports and unioning user sets, then applies the global
 ``HAVING`` thresholds and the statement's ``ORDER BY``.  That is exactly
 how distributed engines execute this statement, and it is what the
 parallel refinement layer (:mod:`repro.parallel`) runs per shard.
-:class:`SqlPartialAggregate` is the mergeable piece;
-:func:`finalize_patterns` is the global reduce.  ``finalize_patterns
-(merge of shard partials)`` equals :meth:`SqlPatternMiner.mine` on the
-concatenated input, group for group and in the same order.
+:func:`fold_groups` is the merge and :func:`finalize_patterns` the
+global reduce.  ``finalize_patterns`` over the folded shard partials
+equals :meth:`SqlPatternMiner.mine` on the concatenated input, group
+for group and in the same order.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field
+from collections.abc import Callable
 
-from repro.audit.entry import AuditEntry
 from repro.audit.log import AuditLog
 from repro.audit.schema import AUDIT_ATTRIBUTES
 from repro.errors import MiningError
@@ -61,60 +59,18 @@ def fold_groups(into: dict, *group_maps: dict) -> dict:
     return into
 
 
-@dataclass
-class SqlPartialAggregate:
-    """The mergeable shard-local state of the Algorithm 5 GROUP BY.
-
-    ``groups`` maps each attribute-value tuple to ``[support, users]``;
-    supports add and user sets union under :meth:`merge`, so partials
-    built over disjoint shards reduce to exactly the whole-log aggregate.
-    """
-
-    attributes: tuple[str, ...]
-    groups: dict[GroupKey, list] = field(default_factory=dict)
-
-    def add(self, values: GroupKey, user: str, count: int = 1) -> None:
-        """Fold one (or ``count`` identical) practice entries in."""
-        slot = self.groups.get(values)
-        if slot is None:
-            self.groups[values] = [count, {user}]
-        else:
-            slot[0] += count
-            slot[1].add(user)
-
-    def add_entry(self, entry: AuditEntry) -> None:
-        """Fold one audit entry in (key = its configured attributes)."""
-        self.add(
-            tuple(str(getattr(entry, a)) for a in self.attributes), entry.user
-        )
-
-    def merge(self, other: "SqlPartialAggregate") -> None:
-        """Fold another shard's partial into this one (associative)."""
-        if other.attributes != self.attributes:
-            raise MiningError(
-                f"cannot merge partial aggregates over {other.attributes} "
-                f"into one over {self.attributes}"
-            )
-        fold_groups(self.groups, other.groups)
-
-    @classmethod
-    def from_entries(
-        cls, entries: Iterable[AuditEntry], config: MiningConfig
-    ) -> "SqlPartialAggregate":
-        """Aggregate one shard (already filtered to practice entries)."""
-        partial = cls(attributes=config.attributes)
-        for entry in entries:
-            partial.add_entry(entry)
-        return partial
-
-
 def finalize_patterns(
-    partial: SqlPartialAggregate,
+    attributes: tuple[str, ...],
+    groups: dict[GroupKey, list],
     config: MiningConfig,
     order: Callable[[Pattern], tuple] | None = None,
 ) -> tuple[Pattern, ...]:
     """Apply the global ``HAVING`` thresholds and ``ORDER BY`` to a
     (merged) partial aggregate — the reduce step of Algorithm 5.
+
+    ``groups`` maps each value tuple over ``attributes`` to
+    ``[support, user-set]`` (as :func:`fold_groups` builds it); it is
+    only read.
 
     The default ``order`` matches the rendered statement
     (:func:`~repro.mining.patterns.sql_pattern_order`), so the result is
@@ -124,14 +80,14 @@ def finalize_patterns(
     """
     patterns = [
         Pattern(
-            rule=Rule.from_pairs(list(zip(partial.attributes, values))),
+            rule=Rule.from_pairs(list(zip(attributes, values))),
             support=count,
             distinct_users=len(users),
         )
-        for values, (count, users) in partial.groups.items()
+        for values, (count, users) in groups.items()
         if count >= config.min_support and len(users) >= config.min_distinct_users
     ]
-    patterns.sort(key=order or sql_pattern_order(partial.attributes))
+    patterns.sort(key=order or sql_pattern_order(attributes))
     return tuple(patterns)
 
 

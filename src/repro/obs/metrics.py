@@ -210,6 +210,29 @@ class Histogram:
         out.append(("+Inf", running + self._counts[-1]))
         return out
 
+    def merge(self, other: "Histogram") -> "Histogram":
+        """Fold ``other``'s observations into this histogram; returns self.
+
+        Merging shard histograms equals recording every observation into
+        one, which is what lets a load driver fan out over processes.
+        ``other``'s exemplars win per bucket (last writer).  Histograms
+        over different bucket bounds cannot merge and raise.
+        """
+        if other.bounds != self.bounds:
+            raise ObservabilityError(
+                f"cannot merge histogram {other.name} into {self.name}: "
+                f"bucket bounds differ"
+            )
+        for index, count in enumerate(other._counts):
+            self._counts[index] += count
+        self._sum += other._sum
+        self._count += other._count
+        if other._exemplars:
+            if self._exemplars is None:
+                self._exemplars = {}
+            self._exemplars.update(other._exemplars)
+        return self
+
     def exemplars(self) -> list[dict]:
         """Per-bucket exemplars as ``{le, trace_id, value}`` (may be empty)."""
         if not self._exemplars:

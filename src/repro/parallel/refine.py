@@ -47,7 +47,6 @@ from repro.errors import RefinementError
 from repro.mining.apriori import AprioriPatternMiner
 from repro.mining.patterns import apriori_pattern_order
 from repro.mining.sql_patterns import (
-    SqlPartialAggregate,
     SqlPatternMiner,
     finalize_patterns,
     fold_groups,
@@ -243,7 +242,8 @@ def parallel_refine(
             counts, _ = _map(count_shard, shards, count_task, execution.workers)
             groups = fold_groups({}, *(partial.counts for partial in counts))
         patterns = finalize_patterns(
-            SqlPartialAggregate(attributes=attributes, groups=groups),
+            attributes,
+            groups,
             cfg.mining,
             apriori_pattern_order if kind == "apriori" else None,
         )

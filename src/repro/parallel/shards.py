@@ -184,10 +184,11 @@ def shards_past_watermark(
     directory: str | Path,
     sealed: tuple,
     watermark: int,
-    limit: int,
     label: str = "tail",
 ) -> tuple[Shard, ...]:
-    """Plan shards covering sealed entries ``[watermark, total)`` only.
+    """Plan the shards covering sealed entries ``[watermark, total)`` only:
+    one segments shard, after a straddle shard when compaction merged
+    the watermark into a segment.
 
     ``sealed`` is the manifest's ordered
     :class:`~repro.store.manifest.SegmentMeta` list; ``watermark`` counts
@@ -233,10 +234,7 @@ def shards_past_watermark(
         )
     if snapshot:
         shards.extend(
-            _segment_shards(
-                snapshot, max(1, limit - len(shards)), label,
-                start_index=len(shards),
-            )
+            _segment_shards(snapshot, 1, label, start_index=len(shards))
         )
     return tuple(shards)
 

@@ -47,11 +47,7 @@ from repro.coverage.engine import compute_coverage
 from repro.coverage.incremental import IncrementalCoverage
 from repro.errors import DaemonError
 from repro.mining.patterns import MiningConfig, Pattern
-from repro.mining.sql_patterns import (
-    SqlPartialAggregate,
-    finalize_patterns,
-    fold_groups,
-)
+from repro.mining.sql_patterns import finalize_patterns, fold_groups
 from repro.obs import trace as obstrace
 from repro.obs.runtime import get_registry
 from repro.parallel.partials import MapTask, ShardPartial, map_shard
@@ -142,7 +138,6 @@ class DaemonConfig:
     mine_interval: float | None = None
     coverage_drop: float | None = None
     clock: Callable[[], float] = time.monotonic
-    shard_limit: int = 4
     entry_observer: Callable[[tuple[str, ...]], None] | None = None
 
 
@@ -319,11 +314,7 @@ class RefineDaemon:
         if total == state.watermark:
             return 0
         shards = shards_past_watermark(
-            self._store.directory,
-            sealed,
-            state.watermark,
-            self.config.shard_limit,
-            label=self.name,
+            self._store.directory, sealed, state.watermark, label=self.name
         )
         task = MapTask(
             attributes=self.config.mining.attributes,
@@ -415,14 +406,9 @@ class RefineDaemon:
     def _mine(self) -> dict:
         """One mining round: reduce → prune → gate (no rescans)."""
         state, cfg = self.state, self.config
-        aggregate = SqlPartialAggregate(
-            attributes=cfg.mining.attributes,
-            groups={
-                values: [count, set(users)]
-                for values, (count, users) in state.groups.items()
-            },
+        patterns = finalize_patterns(
+            cfg.mining.attributes, state.groups, cfg.mining
         )
-        patterns = finalize_patterns(aggregate, cfg.mining)
         policy = self.target.current_store().policy()
         prune = prune_patterns(patterns, policy, self.vocabulary, self._grounder)
         audit_policy = Policy(

@@ -15,24 +15,14 @@ from repro.serve.engine import (
     SnapshotManager,
     build_demo_engine,
 )
-from repro.serve.loadgen import (
-    LatencyHistogram,
-    LoadReport,
-    OpenLoadReport,
-    percentile,
-    run_load,
-    run_load_open,
-    saturation_sweep,
-)
+from repro.serve.loadgen import LoadReport, run_load
 from repro.serve.server import PdpServer, ServerConfig, ServerThread
 
 __all__ = [
     "AsyncPdpClient",
     "DecisionCache",
     "EngineSnapshot",
-    "LatencyHistogram",
     "LoadReport",
-    "OpenLoadReport",
     "PdpClient",
     "PdpEngine",
     "PdpServer",
@@ -41,8 +31,5 @@ __all__ = [
     "ServerThread",
     "SnapshotManager",
     "build_demo_engine",
-    "percentile",
     "run_load",
-    "run_load_open",
-    "saturation_sweep",
 ]

@@ -1,384 +1,195 @@
-"""Load drivers replaying workload traffic against a live PDP server.
+"""The load driver replaying workload traffic against a live PDP server.
 
-Two driver shapes:
+:func:`run_load` sends payloads from ``clients`` threads per driver
+process, in one of two shapes:
 
-* :func:`run_load` — the original **closed-loop** driver: N client
-  threads, each sending its next request the moment the previous answer
-  lands.  Preserves per-client ordering (the E18 identity phase depends
-  on a single-client run being in order), but its latency numbers suffer
-  *coordinated omission*: when the server stalls, the stalled client
-  simply stops issuing requests, so the stall is sampled once instead of
-  once per request that *should* have been sent.
-
-* :func:`run_load_open` — the **open-loop** driver: requests follow a
-  fixed target-RPS arrival schedule (request *i* is *intended* at
-  ``t0 + i/rate``) and latency is measured **from the intended send
-  time**, not from whenever a client got around to sending.  A server
+* **open loop** (a positive ``target_rps``): request *i* is intended at
+  ``t0 + i/target_rps`` and its latency runs from that **intended** send
+  time, not from whenever a client got around to sending it.  A server
   stall therefore penalises every request scheduled during the stall,
-  which is what a real arrival process would experience.  Results land
-  in a mergeable :class:`LatencyHistogram`;
-  :func:`saturation_sweep` steps a rate ladder to find the knee.
+  which is what a real arrival process would experience (no coordinated
+  omission), and ``late_sends`` counts the sends that started behind
+  schedule.
+* **closed loop** (``target_rps=None``): each client sends its next
+  request the moment its previous answer lands, and latency runs from
+  the actual send.  A single-client closed run sends in payload order.
 
-Feed either driver decision payloads — typically
+Latencies land in one :class:`repro.obs.metrics.Histogram` over
+geometric buckets (growth 1.25), so p50/p90/p99 read through
+:func:`~repro.obs.metrics.estimate_quantile` are within about ±12.5 %,
+and driver processes' histograms merge exactly.
+
+Feed the driver decision payloads — typically
 :func:`repro.workload.traces.decision_payloads` over a synthetic audit
 log.  Shed (``OVERLOADED``) responses are outcomes, not errors.  The
-E18/E21 benchmarks and ``repro serve --load`` sit on these.
+E18, E19 and E21 benchmarks sit on it.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import multiprocessing
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from repro.obs.trace import format_traceparent, new_span_id, new_trace_id
+from repro.obs.metrics import Histogram, estimate_quantile, log_buckets
 from repro.serve.client import PdpClient, RetryPolicy
 
+#: latency bucket bounds in ms: 1 µs up to ~17 minutes, far past any
+#: deadline, at growth 1.25 (±12.5 % quantile error)
+LATENCY_BUCKETS_MS = log_buckets(0.001, 1_000_000.0, base=1.25)
 
-def percentile(samples: list[float], fraction: float) -> float:
-    """The ``fraction`` quantile (nearest-rank) of ``samples``; 0 if empty."""
-    if not samples:
-        return 0.0
-    ordered = sorted(samples)
-    rank = math.ceil(fraction * len(ordered))
-    return ordered[min(len(ordered) - 1, max(0, rank - 1))]
+
+def latency_histogram() -> Histogram:
+    """An empty histogram over the driver's latency buckets."""
+    return Histogram("repro_serve_load_latency_ms", {}, LATENCY_BUCKETS_MS)
 
 
 @dataclass
 class LoadReport:
-    """What one load run did, ready for the benchmark JSON record."""
+    """One load run: outcomes, latency and schedule adherence."""
 
-    requests: int = 0
-    ok: int = 0
-    denied: int = 0
-    shed: int = 0
-    errors: int = 0
-    seconds: float = 0.0
-    p50_ms: float = 0.0
-    p99_ms: float = 0.0
-    codes: dict = field(default_factory=dict)
-
-    @property
-    def throughput(self) -> float:
-        """Completed requests per second."""
-        return self.requests / self.seconds if self.seconds > 0 else 0.0
-
-    def summary(self) -> dict:
-        """JSON-ready flattening of the report."""
-        return {
-            "requests": self.requests,
-            "ok": self.ok,
-            "denied": self.denied,
-            "shed": self.shed,
-            "errors": self.errors,
-            "seconds": round(self.seconds, 6),
-            "throughput_rps": round(self.throughput, 2),
-            "p50_ms": round(self.p50_ms, 3),
-            "p99_ms": round(self.p99_ms, 3),
-            "codes": dict(sorted(self.codes.items())),
-        }
-
-
-def run_load(
-    host: str,
-    port: int,
-    payloads: list[dict],
-    clients: int = 4,
-    timeout: float = 30.0,
-    trace_every: int = 0,
-) -> LoadReport:
-    """Replay ``payloads`` against ``host:port`` with ``clients`` threads.
-
-    Payload *i* goes to client ``i % clients``, so a single-client run
-    preserves the original order exactly (the E18 identity phase depends
-    on that).  ``trace_every=N`` stamps every N-th decision payload with
-    a fresh client-side ``traceparent`` (``trace`` field), so a load run
-    leaves linkable traces behind for ``repro trace``; 0 stamps nothing.
-    Returns the merged :class:`LoadReport`.
-    """
-    clients = max(1, min(clients, len(payloads) or 1))
-    shards: list[list[dict]] = [[] for _ in range(clients)]
-    for index, payload in enumerate(payloads):
-        if trace_every > 0 and index % trace_every == 0 and (
-            payload.get("op", "decide") in ("decide", "query")
-        ):
-            payload = dict(payload)
-            payload["trace"] = format_traceparent(new_trace_id(), new_span_id())
-        shards[index % clients].append(payload)
-
-    lock = threading.Lock()
-    latencies: list[float] = []
-    report = LoadReport()
-
-    def worker(shard: list[dict]) -> None:
-        local_lat: list[float] = []
-        local_codes: dict[str, int] = {}
-        local_errors = 0
-        client = PdpClient(host, port, timeout=timeout, retry=RetryPolicy())
-        try:
-            client.connect()
-            for payload in shard:
-                begun = time.perf_counter()
-                try:
-                    response = client.request(payload)
-                    code = response.get("code", "INTERNAL")
-                except Exception:
-                    local_errors += 1
-                    continue
-                local_lat.append((time.perf_counter() - begun) * 1000.0)
-                local_codes[code] = local_codes.get(code, 0) + 1
-        finally:
-            client.close()
-        with lock:
-            latencies.extend(local_lat)
-            report.errors += local_errors
-            for code, count in local_codes.items():
-                report.codes[code] = report.codes.get(code, 0) + count
-
-    threads = [
-        threading.Thread(target=worker, args=(shard,), name=f"pdp-load-{i}")
-        for i, shard in enumerate(shards)
-        if shard
-    ]
-    begun = time.perf_counter()
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    report.seconds = time.perf_counter() - begun
-    report.requests = len(latencies)
-    report.ok = report.codes.get("OK", 0)
-    report.denied = report.codes.get("DENIED", 0)
-    report.shed = report.codes.get("OVERLOADED", 0)
-    report.p50_ms = percentile(latencies, 0.50)
-    report.p99_ms = percentile(latencies, 0.99)
-    return report
-
-
-# ----------------------------------------------------------------------
-# the open-loop driver
-# ----------------------------------------------------------------------
-
-#: first bucket's upper bound in milliseconds
-_HIST_BASE_MS = 0.001
-#: geometric growth factor between bucket bounds
-_HIST_GROWTH = 1.25
-#: bucket count — the last bound is ~27 minutes, far past any deadline
-_HIST_BUCKETS = 96
-_HIST_LOG_GROWTH = math.log(_HIST_GROWTH)
-
-
-class LatencyHistogram:
-    """Log-bucketed latency histogram: mergeable, interpolated quantiles.
-
-    Geometric buckets (±12.5% relative error) keep recording O(1) and
-    the state small enough to ship between load-driver processes, while
-    :meth:`merge` makes multi-process fan-out exact: merging shard
-    histograms is the same as recording into one.
-    """
-
-    __slots__ = ("counts", "count", "sum", "max")
-
-    def __init__(self) -> None:
-        self.counts = [0] * _HIST_BUCKETS
-        self.count = 0
-        self.sum = 0.0
-        self.max = 0.0
-
-    @staticmethod
-    def _index(ms: float) -> int:
-        if ms <= _HIST_BASE_MS:
-            return 0
-        index = int(math.log(ms / _HIST_BASE_MS) / _HIST_LOG_GROWTH) + 1
-        return min(index, _HIST_BUCKETS - 1)
-
-    @staticmethod
-    def _bound(index: int) -> float:
-        return _HIST_BASE_MS * (_HIST_GROWTH ** index)
-
-    def record(self, ms: float) -> None:
-        """Record one latency sample in milliseconds."""
-        self.counts[self._index(ms)] += 1
-        self.count += 1
-        self.sum += ms
-        if ms > self.max:
-            self.max = ms
-
-    def merge(self, other: "LatencyHistogram") -> "LatencyHistogram":
-        """Fold ``other``'s samples into this histogram; returns self."""
-        for index, value in enumerate(other.counts):
-            self.counts[index] += value
-        self.count += other.count
-        self.sum += other.sum
-        if other.max > self.max:
-            self.max = other.max
-        return self
-
-    def quantile(self, fraction: float) -> float:
-        """The ``fraction`` quantile in ms, interpolated within a bucket."""
-        if self.count == 0:
-            return 0.0
-        target = fraction * self.count
-        cumulative = 0
-        for index, value in enumerate(self.counts):
-            if value == 0:
-                continue
-            if cumulative + value >= target:
-                lower = 0.0 if index == 0 else self._bound(index - 1)
-                upper = min(self._bound(index), self.max) or self._bound(index)
-                within = (target - cumulative) / value
-                return lower + (upper - lower) * within
-            cumulative += value
-        return self.max
-
-    @property
-    def mean(self) -> float:
-        """Arithmetic mean latency in ms (0 when empty)."""
-        return self.sum / self.count if self.count else 0.0
-
-    def to_dict(self) -> dict:
-        """Picklable/JSON-ready state (sparse bucket encoding)."""
-        return {
-            "count": self.count,
-            "sum": self.sum,
-            "max": self.max,
-            "buckets": [
-                [index, value]
-                for index, value in enumerate(self.counts)
-                if value
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, state: dict) -> "LatencyHistogram":
-        """Rebuild a histogram from :meth:`to_dict` state."""
-        hist = cls()
-        hist.count = int(state.get("count", 0))
-        hist.sum = float(state.get("sum", 0.0))
-        hist.max = float(state.get("max", 0.0))
-        for index, value in state.get("buckets", []):
-            hist.counts[int(index)] = int(value)
-        return hist
-
-
-@dataclass
-class OpenLoadReport:
-    """One open-loop run: schedule adherence + intended-time latency."""
-
-    target_rps: float = 0.0
+    #: the open loop's offered rate; None for a closed-loop run
+    target_rps: float | None = None
     scheduled: int = 0
-    completed: int = 0
     errors: int = 0
     seconds: float = 0.0
     codes: dict = field(default_factory=dict)
-    histogram: LatencyHistogram = field(default_factory=LatencyHistogram)
-    #: requests whose *send* started late (the schedule slipped); high
-    #: values mean the measured latencies include client-side queueing —
-    #: exactly what coordinated omission used to hide
+    histogram: Histogram = field(default_factory=latency_histogram)
+    max_ms: float = 0.0
+    #: open-loop sends that started behind schedule; high values mean
+    #: the measured latencies include client-side queueing — exactly what
+    #: coordinated omission would hide
     late_sends: int = 0
 
     @property
-    def achieved_rps(self) -> float:
-        """Completed requests per second of wall-clock run time."""
-        return self.completed / self.seconds if self.seconds > 0 else 0.0
+    def requests(self) -> int:
+        """Requests that got an answer (any code)."""
+        return self.histogram.count
+
+    @property
+    def throughput_rps(self) -> float:
+        """Answered requests per second of wall-clock run time."""
+        return self.requests / self.seconds if self.seconds > 0 else 0.0
 
     @property
     def ok(self) -> int:
         return self.codes.get("OK", 0)
 
     @property
+    def denied(self) -> int:
+        return self.codes.get("DENIED", 0)
+
+    @property
     def shed(self) -> int:
         return self.codes.get("OVERLOADED", 0)
 
+    @property
+    def mean_ms(self) -> float:
+        """Arithmetic mean latency in ms (0 when empty)."""
+        hist = self.histogram
+        return hist.sum / hist.count if hist.count else 0.0
+
+    def quantile_ms(self, fraction: float) -> float:
+        """The ``fraction`` latency quantile in ms, a bucket estimate
+        capped at the largest sample (0 when empty)."""
+        estimate = estimate_quantile(self.histogram.cumulative_buckets(), fraction)
+        return 0.0 if estimate is None else min(estimate, self.max_ms)
+
     def summary(self) -> dict:
         """JSON-ready flattening of the report."""
-        hist = self.histogram
         return {
-            "target_rps": round(self.target_rps, 2),
-            "achieved_rps": round(self.achieved_rps, 2),
+            "target_rps": (
+                None if self.target_rps is None else round(self.target_rps, 2)
+            ),
             "scheduled": self.scheduled,
-            "completed": self.completed,
+            "requests": self.requests,
             "ok": self.ok,
+            "denied": self.denied,
             "shed": self.shed,
             "errors": self.errors,
             "late_sends": self.late_sends,
             "seconds": round(self.seconds, 6),
-            "p50_ms": round(hist.quantile(0.50), 3),
-            "p90_ms": round(hist.quantile(0.90), 3),
-            "p99_ms": round(hist.quantile(0.99), 3),
-            "max_ms": round(hist.max, 3),
-            "mean_ms": round(hist.mean, 4),
+            "throughput_rps": round(self.throughput_rps, 2),
+            "p50_ms": round(self.quantile_ms(0.50), 3),
+            "p90_ms": round(self.quantile_ms(0.90), 3),
+            "p99_ms": round(self.quantile_ms(0.99), 3),
+            "max_ms": round(self.max_ms, 3),
+            "mean_ms": round(self.mean_ms, 4),
             "codes": dict(sorted(self.codes.items())),
         }
 
 
-def _open_load_shard(task: tuple) -> dict:
-    """One open-loop shard (module-level so 'spawn' can pickle it).
+def _load_shard(task: tuple) -> dict:
+    """One driver process's share (module-level so 'spawn' can pickle it).
 
     ``task`` is ``(host, port, payloads, target_rps, clients, timeout)``;
-    returns a picklable dict merged by :func:`run_load_open`.
+    returns a picklable dict merged by :func:`run_load`.
     """
     host, port, payloads, target_rps, clients, timeout = task
     total = len(payloads)
-    interval = 1.0 / target_rps if target_rps > 0 else 0.0
+    interval = None if target_rps is None else 1.0 / target_rps
     clients = max(1, min(clients, total or 1))
     counter = itertools.count()
-    counter_lock = threading.Lock()
-    merge_lock = threading.Lock()
-    hist = LatencyHistogram()
+    lock = threading.Lock()
+    hist = latency_histogram()
     codes: dict[str, int] = {}
-    errors = 0
-    late = 0
+    errors = late = 0
+    peak = 0.0
     # small lead so request 0 is not already behind schedule by the time
     # the worker threads have spun up
     start = time.perf_counter() + 0.05
 
     def worker() -> None:
-        nonlocal errors, late
-        local_hist = LatencyHistogram()
+        nonlocal errors, late, peak
+        local_hist = latency_histogram()
         local_codes: dict[str, int] = {}
-        local_errors = 0
-        local_late = 0
+        local_errors = local_late = 0
+        local_peak = 0.0
         client = PdpClient(host, port, timeout=timeout, retry=RetryPolicy())
         try:
             client.connect()
             while True:
-                with counter_lock:
+                with lock:
                     index = next(counter)
                 if index >= total:
                     break
-                intended = start + index * interval
-                lag = intended - time.perf_counter()
-                if lag > 0:
-                    time.sleep(lag)
+                if interval is None:
+                    sent = time.perf_counter()
                 else:
-                    local_late += 1
+                    # the coordinated-omission fix: latency runs from the
+                    # *intended* send time, so client-side schedule slip
+                    # is charged to the server that caused it
+                    sent = start + index * interval
+                    lag = sent - time.perf_counter()
+                    if lag > 0:
+                        time.sleep(lag)
+                    else:
+                        local_late += 1
                 try:
                     response = client.request(payloads[index])
                     code = response.get("code", "INTERNAL")
                 except Exception:
                     local_errors += 1
                     continue
-                # the coordinated-omission fix: latency runs from the
-                # *intended* send time, so client-side schedule slip is
-                # charged to the server that caused it
-                local_hist.record((time.perf_counter() - intended) * 1000.0)
+                ms = (time.perf_counter() - sent) * 1000.0
+                local_hist.observe(ms)
+                local_peak = max(local_peak, ms)
                 local_codes[code] = local_codes.get(code, 0) + 1
         finally:
             client.close()
-        with merge_lock:
+        with lock:
             hist.merge(local_hist)
             errors += local_errors
             late += local_late
+            peak = max(peak, local_peak)
             for code, count in local_codes.items():
                 codes[code] = codes.get(code, 0) + count
 
     threads = [
-        threading.Thread(target=worker, name=f"pdp-open-load-{i}", daemon=True)
+        threading.Thread(target=worker, name=f"pdp-load-{i}", daemon=True)
         for i in range(clients)
     ]
     begun = time.perf_counter()
@@ -392,83 +203,54 @@ def _open_load_shard(task: tuple) -> dict:
         "errors": errors,
         "late_sends": late,
         "codes": codes,
-        "histogram": hist.to_dict(),
+        "histogram": hist,
+        "max_ms": peak,
     }
 
 
-def run_load_open(
+def run_load(
     host: str,
     port: int,
     payloads: list[dict],
-    target_rps: float,
+    target_rps: float | None = None,
     clients: int = 4,
     timeout: float = 30.0,
     processes: int = 1,
-) -> OpenLoadReport:
-    """Drive ``payloads`` at ``target_rps`` on an open-loop schedule.
+) -> LoadReport:
+    """Replay ``payloads`` against ``host:port``; returns one report.
 
-    Request *i* is intended at ``t0 + i/target_rps``; when the driver
-    falls behind it sends immediately but still measures latency from
-    the intended time (no coordinated omission).  ``clients`` bounds the
-    in-flight requests per driver process; ``processes > 1`` fans the
-    schedule out over that many *driver processes* (spawn context, each
-    taking an interleaved payload shard at ``target_rps/processes``) so
-    one GIL cannot cap the offered load when benchmarking a multi-worker
-    fleet.  A very large ``target_rps`` degenerates into a max-rate
-    capacity probe.  Returns the merged :class:`OpenLoadReport`.
+    A positive ``target_rps`` drives an open-loop schedule: request *i*
+    is intended at ``t0 + i/target_rps``, and when the driver falls
+    behind it sends at once but still measures latency from the intended
+    time.  A very large rate degenerates into a max-rate capacity probe.
+    ``None`` drives a closed loop.  ``clients`` bounds the in-flight
+    requests per driver process; ``processes > 1`` fans the payloads out
+    over that many *driver processes* (spawn context, each taking an
+    interleaved shard at ``target_rps/processes``) so one GIL cannot cap
+    the offered load when benchmarking a multi-worker fleet.
     """
-    if target_rps <= 0:
+    if target_rps is not None and target_rps <= 0:
         raise ValueError(f"target_rps must be positive, got {target_rps!r}")
     processes = max(1, min(processes, len(payloads) or 1))
     if processes == 1:
-        raws = [
-            _open_load_shard((host, port, payloads, target_rps, clients, timeout))
-        ]
+        raws = [_load_shard((host, port, payloads, target_rps, clients, timeout))]
     else:
-        shards = [payloads[i::processes] for i in range(processes)]
-        rate = target_rps / processes
+        rate = None if target_rps is None else target_rps / processes
         tasks = [
-            (host, port, shard, rate, clients, timeout)
-            for shard in shards
-            if shard
+            (host, port, payloads[i::processes], rate, clients, timeout)
+            for i in range(processes)
         ]
         context = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(
-            max_workers=len(tasks), mp_context=context
-        ) as pool:
-            raws = list(pool.map(_open_load_shard, tasks))
-    report = OpenLoadReport(target_rps=target_rps)
+        with ProcessPoolExecutor(max_workers=processes, mp_context=context) as pool:
+            raws = list(pool.map(_load_shard, tasks))
+    report = LoadReport(target_rps=target_rps)
     for raw in raws:
         report.scheduled += raw["scheduled"]
         report.errors += raw["errors"]
         report.late_sends += raw["late_sends"]
         report.seconds = max(report.seconds, raw["seconds"])
+        report.max_ms = max(report.max_ms, raw["max_ms"])
         for code, count in raw["codes"].items():
             report.codes[code] = report.codes.get(code, 0) + count
-        report.histogram.merge(LatencyHistogram.from_dict(raw["histogram"]))
-    report.completed = report.histogram.count
+        report.histogram.merge(raw["histogram"])
     return report
-
-
-def saturation_sweep(
-    host: str,
-    port: int,
-    payloads: list[dict],
-    rates: list[float],
-    clients: int = 4,
-    timeout: float = 30.0,
-    processes: int = 1,
-) -> list[OpenLoadReport]:
-    """Step an open-loop rate ladder; one :class:`OpenLoadReport` per rung.
-
-    Each rung replays the same ``payloads`` at the next target rate; the
-    knee is visible where ``achieved_rps`` stops tracking ``target_rps``
-    and the intended-time percentiles blow up.
-    """
-    return [
-        run_load_open(
-            host, port, payloads, rate,
-            clients=clients, timeout=timeout, processes=processes,
-        )
-        for rate in rates
-    ]

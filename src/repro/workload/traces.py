@@ -60,8 +60,8 @@ def decision_payloads(log: AuditLog, limit: int | None = None) -> list[dict]:
 
     Each entry becomes one category-level decision request against the
     decision service — the natural replay of the workload generator's
-    traffic through a live server (the E18 load phase and ``repro serve
-    --load`` both use this).  Ground truth rides along so served trails
+    traffic through a live server (the E18, E19 and E21 load phases use
+    this).  Ground truth rides along so served trails
     stay minable by the evaluation pipeline.
     """
     payloads: list[dict] = []

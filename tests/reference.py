@@ -11,6 +11,10 @@ identity suites, E2 and E17 compare the two with :func:`assert_identical`.
 record goes through the ``AuditEntry`` constructor.  The codec decodes
 through a per-segment field memo instead; ``tests/test_store_codec.py``
 holds the two equal.
+
+:func:`reference_groups` is the Algorithm 5 GROUP BY state built the
+obvious way, one entry at a time, for the partial-aggregate algebra
+tests.
 """
 
 from __future__ import annotations
@@ -63,6 +67,18 @@ def reference_decode(payload: bytes) -> AuditEntry:
         raise
     except (struct.error, UnicodeDecodeError, ValueError, AuditError) as exc:
         raise StoreError(f"undecodable audit record payload: {exc}") from exc
+
+
+def reference_groups(entries, attributes: tuple[str, ...]) -> dict:
+    """``values -> [support, user-set]`` over ``attributes``, one entry
+    at a time — the state ``finalize_patterns`` reduces."""
+    groups: dict = {}
+    for entry in entries:
+        values = tuple(str(getattr(entry, a)) for a in attributes)
+        slot = groups.setdefault(values, [0, set()])
+        slot[0] += 1
+        slot[1].add(entry.user)
+    return groups
 
 
 def reference_refine(

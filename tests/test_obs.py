@@ -66,6 +66,43 @@ class TestHistogramBuckets:
             obs.log_buckets(0, 8)
 
 
+class TestHistogramMerge:
+    BOUNDS = (1.0, 2.0, 4.0, 8.0)
+
+    def test_merge_equals_single_recording(self):
+        left, right, both = (Histogram("h", {}, self.BOUNDS) for _ in range(3))
+        for index, value in enumerate((0.0, 0.5, 1.5, 3.0, 3.0, 7.9, 9.0, 50.0)):
+            (left if index % 3 else right).observe(value)
+            both.observe(value)
+        assert left.merge(right) is left
+        assert left.count == both.count == 8
+        assert left.sum == pytest.approx(both.sum)
+        assert left.cumulative_buckets() == both.cumulative_buckets()
+
+    def test_merge_into_empty_and_of_empty(self):
+        full = Histogram("h", {}, self.BOUNDS)
+        full.observe(3.0)
+        empty = Histogram("h", {}, self.BOUNDS)
+        assert empty.merge(full).cumulative_buckets() == full.cumulative_buckets()
+        before = full.cumulative_buckets()
+        full.merge(Histogram("h", {}, self.BOUNDS))
+        assert full.cumulative_buckets() == before
+
+    def test_merge_carries_exemplars(self):
+        left, right = Histogram("h", {}, self.BOUNDS), Histogram("h", {}, self.BOUNDS)
+        right.observe(3.0, exemplar="trace-a")
+        left.merge(right)
+        assert left.exemplars() == [{"le": 4.0, "trace_id": "trace-a", "value": 3.0}]
+
+    def test_mismatched_bounds_raise(self):
+        left = Histogram("h", {}, self.BOUNDS)
+        right = Histogram("h", {}, (1.0, 2.0, 4.0, 16.0))
+        right.observe(3.0)
+        with pytest.raises(ObservabilityError):
+            left.merge(right)
+        assert left.count == 0
+
+
 class TestCounterAndGauge:
     def test_counter_is_monotone(self):
         reg = obs.MetricsRegistry()

@@ -21,9 +21,9 @@ from repro.errors import RefinementError
 from repro.mining.apriori import AprioriPatternMiner
 from repro.mining.patterns import MiningConfig
 from repro.mining.sql_patterns import (
-    SqlPartialAggregate,
     SqlPatternMiner,
     finalize_patterns,
+    fold_groups,
 )
 from repro.parallel.execution import ExecutionPolicy
 from repro.parallel.partials import MapTask, map_shard
@@ -36,7 +36,7 @@ from repro.policy.rule import Rule
 from repro.refinement.engine import RefinementConfig, refine
 from repro.store.durable import copy_to_durable
 from repro.store.store import StoreConfig
-from tests.reference import assert_identical, reference_refine
+from tests.reference import assert_identical, reference_groups, reference_refine
 
 
 # The ``vocabulary`` fixture comes from conftest (Figure 1 healthcare
@@ -495,16 +495,17 @@ class TestPartialAggregates:
     def test_merge_of_split_equals_whole(self):
         log = build_log(200)
         config = MiningConfig(min_support=3, min_distinct_users=2)
+        attributes = config.attributes
         practice = log.exceptions()
-        whole = SqlPartialAggregate.from_entries(practice, config)
+        whole = reference_groups(practice, attributes)
         half = len(practice) // 2
-        left = SqlPartialAggregate.from_entries(practice.entries[:half], config)
-        right = SqlPartialAggregate.from_entries(practice.entries[half:], config)
-        left.merge(right)
-        assert {k: (c, set(u)) for k, (c, u) in whole.groups.items()} == {
-            k: (c, set(u)) for k, (c, u) in left.groups.items()
-        }
-        assert finalize_patterns(left, config) == finalize_patterns(whole, config)
+        left = reference_groups(practice.entries[:half], attributes)
+        right = reference_groups(practice.entries[half:], attributes)
+        merged = fold_groups({}, left, right)
+        assert merged == whole
+        assert finalize_patterns(attributes, merged, config) == finalize_patterns(
+            attributes, whole, config
+        )
 
     def test_finalize_matches_sql_miner(self):
         log = build_log(300)
@@ -512,17 +513,11 @@ class TestPartialAggregates:
         practice = log.exceptions()
         direct = SqlPatternMiner().mine(practice, config)
         via_partial = finalize_patterns(
-            SqlPartialAggregate.from_entries(practice, config), config
+            config.attributes,
+            reference_groups(practice, config.attributes),
+            config,
         )
         assert direct == via_partial
-
-    def test_mismatched_attributes_refuse_to_merge(self):
-        from repro.errors import MiningError
-
-        left = SqlPartialAggregate(attributes=("data",))
-        right = SqlPartialAggregate(attributes=("purpose",))
-        with pytest.raises(MiningError):
-            left.merge(right)
 
     def test_map_shard_counts_and_offsets(self):
         log = build_log(50)

@@ -1,78 +1,106 @@
-"""The open-loop load driver: histogram math and coordinated omission."""
+"""The load driver: its latency histogram, the open loop's schedule
+(coordinated omission) and the cross-process merge."""
 
 from __future__ import annotations
 
+import pickle
+from bisect import bisect_left
+
 import pytest
 
+from repro.obs.metrics import estimate_quantile
 from repro.serve import (
-    LatencyHistogram,
+    LoadReport,
     ServerConfig,
     ServerThread,
     build_demo_engine,
-    run_load_open,
-    saturation_sweep,
+    run_load,
 )
-from repro.serve.loadgen import OpenLoadReport
+from repro.serve.loadgen import LATENCY_BUCKETS_MS, latency_histogram
 from repro.workload.traces import demo_decision_payloads
+
+
+def _quantile(hist, fraction):
+    return estimate_quantile(hist.cumulative_buckets(), fraction)
 
 
 class TestLatencyHistogram:
     def test_empty_histogram(self):
-        hist = LatencyHistogram()
+        hist = latency_histogram()
         assert hist.count == 0
-        assert hist.quantile(0.5) == 0.0
-        assert hist.mean == 0.0
+        assert _quantile(hist, 0.5) is None
+        report = LoadReport()
+        assert report.quantile_ms(0.5) == 0.0
+        assert report.mean_ms == 0.0
+        assert report.summary()["p99_ms"] == 0.0
 
     def test_records_land_in_geometric_buckets(self):
-        hist = LatencyHistogram()
+        hist = latency_histogram()
         for value in (0.5, 1.0, 2.0, 4.0, 8.0):
-            hist.record(value)
+            hist.observe(value)
+            # each sample's bucket bound is within one growth step of it
+            bound = LATENCY_BUCKETS_MS[bisect_left(LATENCY_BUCKETS_MS, value)]
+            assert value <= bound < value * 1.25
         assert hist.count == 5
-        assert hist.max == 8.0
-        assert hist.quantile(1.0) == 8.0
-        assert 0.4 <= hist.quantile(0.0) <= 0.6
+        assert 0.4 <= _quantile(hist, 0.0) <= 0.6
+        assert 8.0 <= _quantile(hist, 1.0) < 8.0 * 1.25
 
     def test_quantile_error_is_bounded_by_bucket_width(self):
-        hist = LatencyHistogram()
         values = [0.1 + 0.01 * i for i in range(1000)]
+        report = LoadReport(max_ms=max(values))
         for value in values:
-            hist.record(value)
-        exact = sorted(values)[int(0.9 * (len(values) - 1))]
-        # geometric growth 1.25 bounds relative error to ~±12.5%
-        assert abs(hist.quantile(0.9) - exact) / exact < 0.13
+            report.histogram.observe(value)
+        ordered = sorted(values)
+        for fraction in (0.5, 0.9, 0.99):
+            exact = ordered[int(fraction * (len(values) - 1))]
+            # geometric growth 1.25 bounds relative error to ~±12.5%;
+            # the top bucket holds samples only up to the largest one,
+            # which is why the report caps its estimates there
+            assert abs(report.quantile_ms(fraction) - exact) / exact < 0.13
+            if fraction < 0.99:
+                estimate = _quantile(report.histogram, fraction)
+                assert abs(estimate - exact) / exact < 0.13
 
     def test_merge_equals_single_histogram(self):
         left, right, both = (
-            LatencyHistogram(), LatencyHistogram(), LatencyHistogram()
+            latency_histogram(), latency_histogram(), latency_histogram()
         )
         for index in range(200):
             value = 0.05 * (index + 1)
-            (left if index % 2 else right).record(value)
-            both.record(value)
+            (left if index % 2 else right).observe(value)
+            both.observe(value)
         left.merge(right)
         assert left.count == both.count
         assert left.sum == pytest.approx(both.sum)
-        assert left.max == both.max
+        assert left.cumulative_buckets() == both.cumulative_buckets()
         for quantile in (0.5, 0.9, 0.99):
-            assert left.quantile(quantile) == pytest.approx(
-                both.quantile(quantile)
+            assert _quantile(left, quantile) == pytest.approx(
+                _quantile(both, quantile)
             )
 
-    def test_dict_round_trip(self):
-        hist = LatencyHistogram()
+    def test_pickle_round_trip(self):
+        # driver processes ship their histograms back pickled
+        hist = latency_histogram()
         for value in (0.2, 3.5, 700.0):
-            hist.record(value)
-        clone = LatencyHistogram.from_dict(hist.to_dict())
+            hist.observe(value)
+        clone = pickle.loads(pickle.dumps(hist))
         assert clone.count == hist.count
         assert clone.sum == pytest.approx(hist.sum)
-        assert clone.max == hist.max
-        assert clone.quantile(0.5) == pytest.approx(hist.quantile(0.5))
+        assert clone.cumulative_buckets() == hist.cumulative_buckets()
 
     def test_negative_and_zero_latencies_clamp_to_first_bucket(self):
-        hist = LatencyHistogram()
-        hist.record(0.0)
-        hist.record(-1.0)  # a behind-schedule send measured generously
+        hist = latency_histogram()
+        hist.observe(0.0)
+        hist.observe(-1.0)  # a behind-schedule send measured generously
         assert hist.count == 2
+        assert hist.cumulative_buckets()[0] == (LATENCY_BUCKETS_MS[0], 2)
+
+    def test_quantiles_never_exceed_the_largest_sample(self):
+        report = LoadReport(max_ms=8.0)
+        for value in (0.5, 1.0, 8.0):
+            report.histogram.observe(value)
+        assert report.quantile_ms(1.0) == 8.0
+        assert report.quantile_ms(0.5) <= report.quantile_ms(0.99) <= 8.0
 
 
 @pytest.fixture(scope="module")
@@ -87,25 +115,27 @@ def served():
 
 class TestOpenLoop:
     def test_rejects_nonpositive_rate(self, served):
-        with pytest.raises(ValueError):
-            run_load_open(served.host, served.port, [{"op": "ping"}],
-                          target_rps=0)
+        for rate in (0, -5.0):
+            with pytest.raises(ValueError):
+                run_load(served.host, served.port, [{"op": "ping"}],
+                         target_rps=rate)
 
     def test_open_load_reports_schedule_and_latencies(self, served):
         payloads = demo_decision_payloads(80)
-        report = run_load_open(
+        report = run_load(
             served.host, served.port, payloads, target_rps=400.0, clients=4
         )
-        assert isinstance(report, OpenLoadReport)
+        assert isinstance(report, LoadReport)
         assert report.scheduled == 80
-        assert report.completed == 80
+        assert report.requests == 80
         assert report.errors == 0
         assert report.target_rps == 400.0
         assert report.seconds > 0
         assert sum(report.codes.values()) == 80
         assert report.histogram.count == 80
-        assert report.histogram.quantile(0.99) >= report.histogram.quantile(0.5)
-        assert "p99_ms" in report.summary()
+        assert report.quantile_ms(0.99) >= report.quantile_ms(0.5)
+        summary = report.summary()
+        assert summary["p50_ms"] <= summary["p99_ms"] <= summary["max_ms"]
 
     def test_latency_measured_from_intended_send_time(self, served):
         # an absurd target rate forces every send behind schedule: with
@@ -113,24 +143,36 @@ class TestOpenLoop:
         # queueing delay (p99 >> a single request's service time) and the
         # driver must admit how often it fell behind
         payloads = demo_decision_payloads(120)
-        report = run_load_open(
+        report = run_load(
             served.host, served.port, payloads, target_rps=1_000_000.0,
             clients=2,
         )
-        assert report.completed == 120
+        assert report.requests == 120
         assert report.late_sends > 0
-        solo = run_load_open(
+        solo = run_load(
             served.host, served.port, demo_decision_payloads(10),
             target_rps=5.0, clients=1,
         )
         # the backlogged run's p99 carries wait time the solo run lacks
-        assert report.histogram.quantile(0.99) > solo.histogram.quantile(0.05)
+        assert report.quantile_ms(0.99) > solo.quantile_ms(0.05)
 
-    def test_saturation_sweep_one_report_per_rate(self, served):
-        payloads = demo_decision_payloads(30)
-        reports = saturation_sweep(
-            served.host, served.port, payloads, rates=(200.0, 400.0),
+
+class TestDriverProcesses:
+    @pytest.mark.parametrize("target_rps", [None, 400.0])
+    def test_processes_merge_into_one_report(self, served, target_rps):
+        payloads = demo_decision_payloads(60)
+        solo = run_load(
+            served.host, served.port, payloads, target_rps=target_rps,
             clients=2,
         )
-        assert [r.target_rps for r in reports] == [200.0, 400.0]
-        assert all(r.completed == 30 for r in reports)
+        fanned = run_load(
+            served.host, served.port, payloads, target_rps=target_rps,
+            clients=2, processes=2,
+        )
+        assert fanned.scheduled == fanned.requests == 60
+        assert fanned.histogram.count == 60
+        assert fanned.errors == 0
+        assert fanned.target_rps == target_rps
+        # the same traffic gets the same verdicts however it is driven
+        assert fanned.codes == solo.codes
+        assert 0 < fanned.quantile_ms(0.5) <= fanned.max_ms

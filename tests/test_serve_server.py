@@ -22,7 +22,6 @@ from repro.serve import (
     protocol,
     run_load,
 )
-from repro.serve.loadgen import percentile
 from repro.store.durable import DurableAuditLog
 
 
@@ -420,22 +419,20 @@ class TestLoadDriver:
              "purpose": "billing", "categories": ["insurance"]}
             for _ in range(5)
         ]
+        # no target rate: the closed loop, each client paced by its answers
         report = run_load(srv.host, srv.port, payloads, clients=3)
-        assert report.requests == 25
+        assert report.target_rps is None
+        assert report.requests == report.scheduled == 25
+        # nothing is scheduled, so nothing can run late
+        assert report.late_sends == 0
         assert report.ok == 20
         assert report.denied == 5
         assert report.errors == 0
-        assert report.throughput > 0
+        assert report.throughput_rps > 0
         summary = report.summary()
+        assert summary["target_rps"] is None
         assert summary["codes"] == {"DENIED": 5, "OK": 20}
         assert summary["p50_ms"] <= summary["p99_ms"]
-
-    def test_percentile_nearest_rank(self):
-        assert percentile([], 0.5) == 0.0
-        assert percentile([3.0], 0.99) == 3.0
-        samples = [float(v) for v in range(1, 101)]
-        assert percentile(samples, 0.50) == 50.0
-        assert percentile(samples, 0.99) == 99.0
 
 
 class TestRefineDaemonServing:
