@@ -4,8 +4,10 @@ Coverage reduces to range materialisation plus a set intersection; the
 refinement loop recomputes it constantly over an evolving store, so the
 memoised :class:`~repro.policy.grounding.Grounder` is the design choice
 DESIGN.md calls out.  We measure coverage over stores of 10–1 000
-composite rules, and the ablation: memoised vs naive re-expansion when
-the same policy is ground ten times (the loop's actual access pattern).
+composite rules, both cold (a fresh grounder per call) and warm (the
+default call through the vocabulary's shared grounder), and the
+ablation: memoised vs naive re-expansion when the same policy is ground
+ten times (the loop's actual access pattern).
 """
 
 from __future__ import annotations
@@ -51,11 +53,21 @@ def _random_policy(rules: int, seed: int, composite_bias: float = 0.5) -> Policy
     )
 
 
+@pytest.mark.parametrize("path", ["cold", "warm"])
 @pytest.mark.parametrize("store_rules", [10, 100, 1000])
-def test_e8_coverage_scaling(benchmark, store_rules):
+def test_e8_coverage_scaling(benchmark, store_rules, path):
+    """``cold`` grounds both policies afresh on every call (a new
+    grounder each time); ``warm`` is the default call, which reuses the
+    vocabulary's shared grounder and so, after the first round, only
+    probes its memo."""
     store = _random_policy(store_rules, seed=store_rules)
     audit = _random_policy(200, seed=7, composite_bias=0.0)
-    report = benchmark(compute_coverage, store, audit, VOCAB)
+    if path == "cold":
+        report = benchmark(
+            lambda: compute_coverage(store, audit, VOCAB, Grounder(VOCAB))
+        )
+    else:
+        report = benchmark(compute_coverage, store, audit, VOCAB)
     assert 0.0 <= report.ratio <= 1.0
 
 

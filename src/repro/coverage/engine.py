@@ -25,7 +25,7 @@ from heapq import merge as heap_merge
 from repro.errors import CoverageError
 from repro.obs.metrics import CARDINALITY_BUCKETS
 from repro.obs.runtime import get_registry
-from repro.policy.grounding import Grounder, Range
+from repro.policy.grounding import Grounder, Range, grounder_for
 from repro.policy.policy import Policy
 from repro.policy.rule import Rule
 from repro.vocab.vocabulary import Vocabulary
@@ -75,13 +75,11 @@ def compute_coverage(
     :class:`~repro.errors.CoverageError` when ``policy_y`` has an empty
     range (the ratio would be 0/0).
 
-    Pass a shared :class:`~repro.policy.grounding.Grounder` when computing
-    many coverages over one vocabulary; a private one is built otherwise.
+    Without a ``grounder`` the vocabulary's shared
+    :class:`~repro.policy.grounding.Grounder` is used, so repeated
+    coverages over one vocabulary reuse its memo.
     """
-    if grounder is None:
-        grounder = Grounder(vocabulary)
-    elif grounder.vocabulary is not vocabulary:
-        raise CoverageError("grounder and coverage call use different vocabularies")
+    grounder = grounder_for(vocabulary, grounder)
     reg = get_registry()
     with reg.span("repro_coverage_compute", kind="set"):
         range_x = grounder.range_of(policy_x)
@@ -131,36 +129,32 @@ def compute_entry_coverage(
     ground expansion is covered.  Raises :class:`CoverageError` on an empty
     trace.
     """
-    if grounder is None:
-        grounder = Grounder(vocabulary)
-    elif grounder.vocabulary is not vocabulary:
-        raise CoverageError("grounder and coverage call use different vocabularies")
+    grounder = grounder_for(vocabulary, grounder)
     reg = get_registry()
     with reg.span("repro_coverage_compute", kind="entry"):
         range_x = grounder.range_of(policy_x)
         covering_mask = range_x.mask
         total = 0
         misses: list[int] = []
-        for index, entry in enumerate(entries):
+        for index, mask in enumerate(grounder.masks(entries)):
             total += 1
             # range_x came from this grounder, so both masks share one interner
             # and "whole expansion covered" is a single bitwise expression.
-            if grounder.ground_mask(entry) & ~covering_mask != 0:
+            if mask & ~covering_mask != 0:
                 misses.append(index)
     return _entry_report(reg, range_x, total, misses)
 
 
 def grouped_entry_coverage(
     covering: Range,
-    groups: Iterable[tuple[Rule, Iterable[int]]],
+    groups: Iterable[tuple[int, Iterable[int]]],
     total: int,
-    grounder: Grounder,
 ) -> EntryCoverageReport:
     """Entry coverage of a trace given as its distinct rules.
 
-    ``groups`` pairs each distinct rule of a ``total``-entry trace with
-    the ascending positions of its entries; ``covering`` is a range
-    ``grounder`` produced.  Each rule is ground once, and only the
+    ``groups`` pairs the ground mask of each distinct rule of a
+    ``total``-entry trace with the ascending positions of its entries;
+    the masks and ``covering`` come from one grounder.  Only the
     positions of uncovered rules are read, merged into trace order.
     Equal to :func:`compute_entry_coverage` over the ungrouped trace.
     """
@@ -168,9 +162,7 @@ def grouped_entry_coverage(
     with reg.span("repro_coverage_compute", kind="entry"):
         covering_mask = covering.mask
         missed = [
-            positions
-            for rule, positions in groups
-            if grounder.ground_mask(rule) & ~covering_mask != 0
+            positions for mask, positions in groups if mask & ~covering_mask != 0
         ]
         misses = list(heap_merge(*missed))
     return _entry_report(reg, covering, total, misses)

@@ -54,7 +54,7 @@ def coverage_series(
         raise CoverageError(f"window_size must be >= 1, got {window_size}")
     if len(log) == 0:
         raise AuditError("cannot compute a coverage series over an empty log")
-    grounder = Grounder(vocabulary)
+    grounder = Grounder.for_vocabulary(vocabulary)
     covered_mask = grounder.range_of(policy).mask
     first, last = log.time_range()
     points: list[WindowPoint] = []
@@ -120,7 +120,7 @@ def coverage_by_attribute(
         raise AuditError(f"unknown audit attribute {attribute!r}")
     if len(log) == 0:
         raise AuditError("cannot break down coverage of an empty log")
-    grounder = Grounder(vocabulary)
+    grounder = Grounder.for_vocabulary(vocabulary)
     covered_mask = grounder.range_of(policy).mask
     totals: dict[str, int] = defaultdict(int)
     matches: dict[str, int] = defaultdict(int)

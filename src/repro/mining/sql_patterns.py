@@ -64,13 +64,16 @@ def finalize_patterns(
     groups: dict[GroupKey, list],
     config: MiningConfig,
     order: Callable[[Pattern], tuple] | None = None,
+    rule_of: Callable[[GroupKey], Rule] | None = None,
 ) -> tuple[Pattern, ...]:
     """Apply the global ``HAVING`` thresholds and ``ORDER BY`` to a
     (merged) partial aggregate — the reduce step of Algorithm 5.
 
     ``groups`` maps each value tuple over ``attributes`` to
     ``[support, user-set]`` (as :func:`fold_groups` builds it); it is
-    only read.
+    only read.  ``rule_of`` returns a kept key's lifted rule (a caller
+    holding :meth:`~repro.policy.grounding.Grounder.lift` output passes
+    it); by default each is built with :meth:`Rule.from_pairs`.
 
     The default ``order`` matches the rendered statement
     (:func:`~repro.mining.patterns.sql_pattern_order`), so the result is
@@ -78,9 +81,14 @@ def finalize_patterns(
     concatenated shards; the Apriori miner's full-width patterns are the
     same groups under :func:`~repro.mining.patterns.apriori_pattern_order`.
     """
+    if rule_of is None:
+
+        def rule_of(values: GroupKey) -> Rule:
+            return Rule.from_pairs(list(zip(attributes, values)))
+
     patterns = [
         Pattern(
-            rule=Rule.from_pairs(list(zip(attributes, values))),
+            rule=rule_of(values),
             support=count,
             distinct_users=len(users),
         )

@@ -85,10 +85,11 @@ def render_summary(snapshot: dict) -> str:
     Counters and gauges render one sample per line; every histogram
     renders as ``count / sum`` plus **p50 / p90 / p99 estimates** from
     log-bucket geometric interpolation
-    (:func:`repro.obs.metrics.estimate_quantile`), with ``*_seconds``
-    series scaled to milliseconds.  Bucket exemplars — the trace ids the
-    tracing layer attaches to latency observations — are listed under
-    the histogram so a slow bucket links straight to a
+    (:func:`repro.obs.metrics.estimate_quantile`), capped at the
+    histogram's largest observation when the snapshot carries it, with
+    ``*_seconds`` series scaled to milliseconds.  Bucket exemplars — the
+    trace ids the tracing layer attaches to latency observations — are
+    listed under the histogram so a slow bucket links straight to a
     ``repro trace show <id>`` invocation.
     """
     from repro.obs.metrics import estimate_quantile
@@ -115,7 +116,9 @@ def render_summary(snapshot: dict) -> str:
             seconds = name.endswith("_seconds")
             quantiles = []
             for q, tag in ((0.5, "p50"), (0.9, "p90"), (0.99, "p99")):
-                estimate = estimate_quantile(sample["buckets"], q)
+                estimate = estimate_quantile(
+                    sample["buckets"], q, sample.get("max")
+                )
                 if estimate is None:
                     quantiles.append(f"{tag}=n/a")
                 elif seconds:

@@ -148,11 +148,12 @@ class Histogram:
     above the last bound lands in the implicit ``+Inf`` overflow bucket.
     Zero and negative observations (a timer's floor) count into the first
     bucket rather than raising — telemetry must never take down the
-    instrumented path.
+    instrumented path.  The largest observation is kept beside the
+    buckets (:attr:`max`), so quantile estimates can be capped at it.
     """
 
     __slots__ = ("name", "labels", "bounds", "_counts", "_sum", "_count",
-                 "_exemplars")
+                 "_max", "_exemplars")
 
     def __init__(
         self,
@@ -170,6 +171,7 @@ class Histogram:
         self._counts = [0] * (len(bounds) + 1)  # last slot = +Inf
         self._sum = 0.0
         self._count = 0
+        self._max = -math.inf
         # per-bucket (trace_id, value) of the last exemplared observation;
         # lazily allocated so exemplar-free histograms pay nothing
         self._exemplars: dict[int, tuple[str, float]] | None = None
@@ -185,6 +187,8 @@ class Histogram:
         self._counts[index] += 1
         self._sum += value
         self._count += 1
+        if value > self._max:
+            self._max = value
         if exemplar is not None:
             if self._exemplars is None:
                 self._exemplars = {}
@@ -200,6 +204,11 @@ class Histogram:
         """Sum of all observed values."""
         return self._sum
 
+    @property
+    def max(self) -> float | None:
+        """The largest observed value (None when empty)."""
+        return self._max if self._count else None
+
     def cumulative_buckets(self) -> list[tuple[float | str, int]]:
         """Prometheus-style cumulative ``(le, count)`` pairs, ending ``+Inf``."""
         out: list[tuple[float | str, int]] = []
@@ -214,7 +223,8 @@ class Histogram:
         """Fold ``other``'s observations into this histogram; returns self.
 
         Merging shard histograms equals recording every observation into
-        one, which is what lets a load driver fan out over processes.
+        one (the maximum included), which is what lets a load driver fan
+        out over processes.
         ``other``'s exemplars win per bucket (last writer).  Histograms
         over different bucket bounds cannot merge and raise.
         """
@@ -227,6 +237,7 @@ class Histogram:
             self._counts[index] += count
         self._sum += other._sum
         self._count += other._count
+        self._max = max(self._max, other._max)
         if other._exemplars:
             if self._exemplars is None:
                 self._exemplars = {}
@@ -265,7 +276,9 @@ def sample_delta(
 
 
 def estimate_quantile(
-    cumulative: list[tuple[float | str, int]] | list[dict], q: float
+    cumulative: list[tuple[float | str, int]] | list[dict],
+    q: float,
+    maximum: float | None = None,
 ) -> float | None:
     """Estimate the ``q``-quantile from cumulative histogram buckets.
 
@@ -274,8 +287,11 @@ def estimate_quantile(
     log-scaled in this repo, so interpolation inside a bucket is
     **geometric** — ``lo * (hi/lo)**fraction`` — matching the bucket
     spacing; the first finite bucket interpolates linearly from zero and
-    the overflow bucket returns its lower bound (the estimate cannot
-    exceed what was measured).  Returns None on an empty histogram.
+    the overflow bucket returns its lower bound.  Interpolation runs up
+    to the occupied bucket's upper bound, which can lie a whole bucket
+    width above every sample, so pass the histogram's ``maximum``
+    (:attr:`Histogram.max`) when it is known: no estimate exceeds it.
+    Returns None on an empty histogram.
     """
     if not 0.0 <= q <= 1.0:
         raise ObservabilityError(f"quantile must be within [0, 1], got {q}")
@@ -288,7 +304,12 @@ def estimate_quantile(
     total = pairs[-1][1]
     if total == 0:
         return None
-    target = q * total
+    estimate = _interpolate(pairs, q * total)
+    return estimate if maximum is None else min(estimate, maximum)
+
+
+def _interpolate(pairs: list[tuple[float | str, int]], target: float) -> float:
+    """The value at rank ``target`` inside the bucket that holds it."""
     previous_bound = 0.0
     previous_count = 0
     for bound, count in pairs:

@@ -232,7 +232,8 @@ class MetricsRegistry:
 
         The schema (``counters`` / ``gauges`` / ``histograms`` lists with
         ``name``, ``labels`` and values; histogram buckets cumulative,
-        ending at ``+Inf``) is what ``--metrics-out`` writes and what
+        ending at ``+Inf``, beside the largest observation as ``max``)
+        is what ``--metrics-out`` writes and what
         :func:`repro.obs.exposition.render_prometheus` renders.
         """
         self.collect()
@@ -255,6 +256,7 @@ class MetricsRegistry:
                     "labels": h.labels,
                     "count": h.count,
                     "sum": h.sum,
+                    "max": h.max,
                     "buckets": [
                         {"le": le, "count": count}
                         for le, count in h.cumulative_buckets()

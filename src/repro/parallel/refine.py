@@ -28,7 +28,10 @@ from four commitments:
    completion order never shows through.
 4. **One shared grounder.**  Coverage and pruning masks are produced by
    the coordinator's single interned grounder; worker processes never
-   ground anything, so every mask is comparable.
+   ground anything, so every mask is comparable.  Unless the caller
+   passes one, that is the vocabulary's shared grounder, whose memos
+   (expansions, and each trail key's lifted rule and mask) carry over
+   from one call to the next.
 
 Every call emits the ``repro_refinement_stage`` spans: ``filter`` times
 the streaming map, ``coverage`` the merge's coverage, ``extract`` the
@@ -63,13 +66,12 @@ from repro.parallel.partials import (
 )
 from repro.parallel.pool import map_in_process, run_sharded
 from repro.parallel.shards import shards_of
-from repro.policy.grounding import Grounder
+from repro.policy.grounding import Grounder, grounder_for
 from repro.policy.policy import Policy, PolicySource
 from repro.policy.rule import Rule
 from repro.refinement.engine import (
     RefinementConfig,
     RefinementResult,
-    checked_grounder,
     finish_refinement,
 )
 from repro.refinement.prune import prune_patterns
@@ -159,7 +161,7 @@ def parallel_refine(
     cfg = config or RefinementConfig()
     execution = cfg.execution or ExecutionPolicy()
     kind = _miner_kind(cfg.miner)
-    grounder = checked_grounder(vocabulary, grounder)
+    grounder = grounder_for(vocabulary, grounder)
     attributes = cfg.mining.attributes
     screened = cfg.exclude_suspected_violations
 
@@ -198,14 +200,14 @@ def parallel_refine(
     with reg.span("repro_refinement_stage", stage="coverage"):
         # Distinct lifted rules in first-global-occurrence order: shard
         # order plus each partial's insertion order restores the order a
-        # single scan discovers them in.
-        rules: dict = {}
-        for partial in partials:
-            for values in partial.rule_entries:
-                if values not in rules:
-                    rules[values] = Rule.from_pairs(list(zip(attributes, values)))
+        # single scan discovers them in.  The grounder's lift memo keeps
+        # each rule and its mask from one call to the next.
+        keys = dict.fromkeys(
+            values for partial in partials for values in partial.rule_entries
+        )
+        lifted = grounder.lift(attributes, keys)
         audit_policy = Policy(
-            rules.values(),
+            (rule for rule, _ in lifted.values()),
             source=PolicySource.AUDIT_LOG,
             name=f"P_AL({getattr(audit_log, 'name', 'audit_log')})",
         )
@@ -213,11 +215,10 @@ def parallel_refine(
         entry_coverage = grouped_entry_coverage(
             coverage.covering,
             (
-                (rule, _global_positions(partials, offsets, values))
-                for values, rule in rules.items()
+                (mask, _global_positions(partials, offsets, values))
+                for values, (_, mask) in lifted.items()
             ),
             total,
-            grounder,
         )
 
     with reg.span("repro_refinement_stage", stage="extract"):
@@ -246,6 +247,7 @@ def parallel_refine(
             groups,
             cfg.mining,
             apriori_pattern_order if kind == "apriori" else None,
+            rule_of=lambda values: lifted[values][0],
         )
 
     with reg.span("repro_refinement_stage", stage="prune"):

@@ -16,18 +16,23 @@ rule-level comparison, so the public set protocol is backend-agnostic.
 
 Grounding the same composite rules over and over dominates the cost of a
 refinement loop, so :class:`Grounder` memoises per-rule expansions (both
-the rule tuples and their ID bitmasks) for a fixed vocabulary.  The
-vocabulary is version-stamped: mutating it after grounding began raises
-:class:`~repro.errors.CoverageError` instead of silently serving stale
-expansions.  The ablation benchmark E8 measures memoised vs. naive
-grounding; E14 measures the bitset backend against the frozenset baseline.
+the rule tuples and their ID bitmasks) for a fixed vocabulary, and
+:meth:`Grounder.for_vocabulary` shares one grounder among every call that
+passes none.  The vocabulary is version-stamped: after a mutation a
+private grounder raises :class:`~repro.errors.CoverageError` instead of
+silently serving stale expansions, and the shared one starts afresh.  The
+ablation benchmark E8 measures memoised vs. naive grounding (and the
+shared grounder's warm path against a cold one); E14 measures the bitset
+backend against the frozenset baseline.
 """
 
 from __future__ import annotations
 
+import weakref
 from collections.abc import Iterable, Iterator
 
 from repro.errors import CoverageError, PolicyError
+from repro.obs.registry import MetricsRegistry
 from repro.obs.runtime import get_registry
 from repro.policy.interning import RuleInterner
 from repro.policy.policy import Policy
@@ -195,37 +200,76 @@ class Range:
 
 
 class Grounder:
-    """Memoised rule grounding against a fixed vocabulary.
+    """Memoised rule grounding against one vocabulary.
 
     The cache key is the rule itself (rules are immutable and hashable), so
     repeated range computations over evolving policies only pay for rules
     they have not seen before.  Expansions are cached twice: as ground-rule
     tuples (:meth:`ground_rules`) and as ID bitmasks (:meth:`ground_mask`)
-    against the vocabulary's shared :class:`RuleInterner`.
+    against the vocabulary's shared :class:`RuleInterner`.  A third memo,
+    keyed by ``(attributes, values)``, holds each audit key's lifted rule
+    and its mask (:meth:`lift`), so a trail's distinct keys are lifted
+    once per vocabulary rather than once per call.
 
-    Create one grounder per vocabulary.  The vocabulary's version is
-    stamped at construction; mutating the vocabulary afterwards makes every
-    grounding call raise :class:`~repro.errors.CoverageError` until
-    :meth:`clear` re-stamps, so stale memo entries can never silently
-    corrupt a coverage number.
+    :meth:`for_vocabulary` hands out the one grounder that every
+    ``grounder=None`` call over a vocabulary shares; ``Grounder(vocabulary)``
+    builds a private one.  Both stamp the vocabulary's version and check
+    it once per call, not once per rule.  When the stamp has moved, a
+    private grounder raises :class:`~repro.errors.CoverageError` until
+    :meth:`clear` re-stamps it, so stale memo entries can never silently
+    corrupt a coverage number; the shared one clears itself instead.
     """
 
     def __init__(self, vocabulary: Vocabulary) -> None:
-        self.vocabulary = vocabulary
+        # A private grounder pins its vocabulary; for_vocabulary drops the
+        # pin, so the shared one never keeps its own map key alive.
+        self._pin: Vocabulary | None = vocabulary
+        self._vocabulary = weakref.ref(vocabulary)
         self.interner = RuleInterner.for_vocabulary(vocabulary)
         self._version = vocabulary.version
         self._cache: dict[Rule, tuple[Rule, ...]] = {}
         self._mask_cache: dict[Rule, int] = {}
+        #: attributes -> values -> (lifted rule, its mask)
+        self._lifted: dict[tuple, dict[tuple, tuple[Rule, int]]] = {}
         self.hits = 0
         self.misses = 0
         # Telemetry rides the plain counters above: the memo probe itself
         # stays metric-free and a weakly-held collector flushes deltas to
-        # the registry at snapshot time (see DESIGN.md §8).
+        # the registry at snapshot time (see DESIGN.md §8).  Every call
+        # re-binds to the registry active at that call.
         self._obs = get_registry()
+        self._collected_by: "weakref.WeakSet[MetricsRegistry]" = weakref.WeakSet()
         self._reported_hits = 0
         self._reported_misses = 0
-        if self._obs.enabled:
-            self._obs.register_collector(self._flush_metrics)
+        self._collect_for(self._obs)
+
+    @classmethod
+    def for_vocabulary(cls, vocabulary: Vocabulary) -> "Grounder":
+        """Return the shared grounder for ``vocabulary`` (created on first use).
+
+        It lives as long as the vocabulary does and re-stamps itself with
+        :meth:`clear` when the vocabulary has been mutated.  It takes no
+        lock, like the interner it wraps: share it within one thread.
+        """
+        grounder = _SHARED.get(vocabulary)
+        if grounder is None:
+            grounder = cls(vocabulary)
+            grounder._pin = None
+            _SHARED[vocabulary] = grounder
+        return grounder
+
+    @property
+    def vocabulary(self) -> Vocabulary:
+        """The vocabulary this grounder expands rules against."""
+        vocabulary = self._vocabulary()
+        if vocabulary is None:
+            raise CoverageError("the vocabulary behind this grounder was collected")
+        return vocabulary
+
+    def _collect_for(self, reg: MetricsRegistry) -> None:
+        if reg.enabled and reg not in self._collected_by:
+            self._collected_by.add(reg)
+            reg.register_collector(self._flush_metrics)
 
     def _flush_metrics(self) -> None:
         reg = self._obs
@@ -243,18 +287,26 @@ class Grounder:
         reg.gauge("repro_policy_interner_rules").set(len(self.interner))
         reg.gauge("repro_policy_grounder_cached_rules").set(len(self._cache))
 
-    def _check_version(self) -> None:
-        if self.vocabulary.version != self._version:
-            raise CoverageError(
-                f"vocabulary {self.vocabulary.name!r} was mutated after this "
-                "grounder cached expansions against it (version "
-                f"{self._version} -> {self.vocabulary.version}); call "
-                "Grounder.clear() to drop the stale cache and re-stamp"
-            )
+    def _enter(self) -> None:
+        """Once per call: check the version stamp, bind to the active registry."""
+        vocabulary = self.vocabulary
+        if vocabulary.version != self._version:
+            if self._pin is not None:
+                raise CoverageError(
+                    f"vocabulary {vocabulary.name!r} was mutated after this "
+                    "grounder cached expansions against it (version "
+                    f"{self._version} -> {vocabulary.version}); call "
+                    "Grounder.clear() to drop the stale cache and re-stamp"
+                )
+            self.clear()
+        reg = get_registry()
+        if reg is not self._obs:
+            # what was counted so far belongs to the registry it was counted under
+            self._flush_metrics()
+            self._obs = reg
+            self._collect_for(reg)
 
-    def ground_rules(self, rule: Rule) -> tuple[Rule, ...]:
-        """Return (and cache) the ground expansion of ``rule``."""
-        self._check_version()
+    def _ground(self, rule: Rule) -> tuple[Rule, ...]:
         cached = self._cache.get(rule)
         if cached is not None:
             self.hits += 1
@@ -264,33 +316,74 @@ class Grounder:
         self._cache[rule] = expansion
         return expansion
 
-    def ground_mask(self, rule: Rule) -> int:
-        """Return (and cache) the ID bitmask of ``rule``'s ground expansion."""
-        self._check_version()
+    def _mask(self, rule: Rule) -> int:
         mask = self._mask_cache.get(rule)
         if mask is not None:
             self.hits += 1
             return mask
-        mask = self.interner.mask_of(self.ground_rules(rule))
+        mask = self.interner.mask_of(self._ground(rule))
         self._mask_cache[rule] = mask
         return mask
 
+    def ground_rules(self, rule: Rule) -> tuple[Rule, ...]:
+        """Return (and cache) the ground expansion of ``rule``."""
+        self._enter()
+        return self._ground(rule)
+
+    def ground_mask(self, rule: Rule) -> int:
+        """Return (and cache) the ID bitmask of ``rule``'s ground expansion."""
+        self._enter()
+        return self._mask(rule)
+
+    def masks(self, rules: Iterable[Rule]) -> Iterator[int]:
+        """Yield :meth:`ground_mask` of each rule, checking the stamp once."""
+        self._enter()
+        mask = self._mask
+        for rule in rules:
+            yield mask(rule)
+
     def range_of(self, policy: Policy | Iterable[Rule]) -> Range:
         """Compute ``Range_P`` for a policy or bare rule iterable."""
+        self._enter()
         mask = 0
         for rule in policy:
-            mask |= self.ground_mask(rule)
+            mask |= self._mask(rule)
         return Range.from_mask(mask, self.interner)
 
+    def lift(
+        self, attributes: tuple[str, ...], keys: Iterable[tuple[str, ...]]
+    ) -> dict[tuple[str, ...], tuple[Rule, int]]:
+        """Lift audit keys to rules, each paired with its ground mask.
+
+        A key is an entry's values over ``attributes``, the rule
+        :meth:`~repro.audit.entry.AuditEntry.to_rule` would build.
+        Returns ``{key: (rule, mask)}`` in ``keys`` order; a key lifted
+        before costs one dict probe instead of ``Rule.from_pairs`` and a
+        grounding.
+        """
+        self._enter()
+        memo = self._lifted.setdefault(attributes, {})
+        lifted: dict[tuple[str, ...], tuple[Rule, int]] = {}
+        for values in keys:
+            pair = memo.get(values)
+            if pair is None:
+                rule = Rule.from_pairs(list(zip(attributes, values)))
+                pair = memo[values] = (rule, self._mask(rule))
+            lifted[values] = pair
+        return lifted
+
     def clear(self) -> None:
-        """Drop the memo table and re-stamp the vocabulary version.
+        """Drop the memo tables and re-stamp the vocabulary version.
 
         This is the recovery path after an intentional vocabulary
         mutation: stale expansions are discarded and grounding resumes
-        against the current hierarchy.
+        against the current hierarchy.  Counts not yet reported are
+        flushed first, then the counters restart from zero.
         """
+        self._flush_metrics()
         self._cache.clear()
         self._mask_cache.clear()
+        self._lifted.clear()
         self._version = self.vocabulary.version
         self.hits = 0
         self.misses = 0
@@ -299,10 +392,30 @@ class Grounder:
         self._reported_misses = 0
 
 
+#: One shared grounder per vocabulary, weakly keyed like the interners;
+#: the grounder holds its vocabulary weakly too, so the entry dies with it.
+_SHARED: "weakref.WeakKeyDictionary[Vocabulary, Grounder]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def grounder_for(vocabulary: Vocabulary, grounder: Grounder | None = None) -> Grounder:
+    """``grounder``, or the vocabulary's shared one when it is ``None``.
+
+    Every ``grounder=None`` default resolves here.  A grounder built for
+    another vocabulary is refused with :class:`~repro.errors.CoverageError`.
+    """
+    if grounder is None:
+        return Grounder.for_vocabulary(vocabulary)
+    if grounder.vocabulary is not vocabulary:
+        raise CoverageError("grounder and call use different vocabularies")
+    return grounder
+
+
 def policy_range(policy: Policy | Iterable[Rule], vocabulary: Vocabulary) -> Range:
     """One-shot ``getRange(P, V)`` from Algorithms 1 and 6.
 
-    Builds a throwaway :class:`Grounder`; callers computing many ranges over
-    the same vocabulary should hold their own grounder instead.
+    Grounds through the vocabulary's shared :class:`Grounder`, so repeated
+    calls over one vocabulary reuse its memo.
     """
-    return Grounder(vocabulary).range_of(policy)
+    return Grounder.for_vocabulary(vocabulary).range_of(policy)

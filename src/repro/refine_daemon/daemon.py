@@ -186,8 +186,9 @@ class RefineDaemon:
         self.config = config or DaemonConfig()
         self.name = name
         self._lock = threading.Lock()
+        #: private (raises if the vocabulary is mutated under it); its
+        #: lift memo holds every lifted rule the daemon needs
         self._grounder = Grounder(vocabulary)
-        self._rules: dict[tuple[str, ...], Rule] = {}
         self._obs = get_registry()
         self._tracer = obstrace.get_tracer()
         if provenance is None:
@@ -209,19 +210,12 @@ class RefineDaemon:
         tracker = IncrementalCoverage(self.vocabulary)
         for rule in self.target.current_store().policy():
             tracker.add_rule(rule)
+        lifted = self._grounder.lift(self.config.mining.attributes, self.state.rules)
         for values, count in self.state.rules.items():
-            rule = self._rule_for(values)
+            rule = lifted[values][0]
             for _ in range(count):
                 tracker.observe(rule)
         return tracker
-
-    def _rule_for(self, values: tuple[str, ...]) -> Rule:
-        """The (cached) lifted rule for one attribute-value tuple."""
-        rule = self._rules.get(values)
-        if rule is None:
-            rule = Rule.from_pairs(list(zip(self.config.mining.attributes, values)))
-            self._rules[values] = rule
-        return rule
 
     def _reconcile(self) -> int:
         """Adopt accepted rules missing from the target (crash repair).
@@ -359,10 +353,13 @@ class RefineDaemon:
                     order[position] = values
             for values in order:
                 observer(values)
+        lifted = self._grounder.lift(
+            self.config.mining.attributes, partial.rule_entries
+        )
         for values, positions in partial.rule_entries.items():
             count = len(positions)
             state.rules[values] = state.rules.get(values, 0) + count
-            rule = self._rule_for(values)
+            rule = lifted[values][0]
             for _ in range(count):
                 self._tracker.observe(rule)
         fold_groups(state.groups, partial.groups)
@@ -406,13 +403,18 @@ class RefineDaemon:
     def _mine(self) -> dict:
         """One mining round: reduce → prune → gate (no rescans)."""
         state, cfg = self.state, self.config
+        # every group key is a rule key: both fold from the same partials
+        lifted = self._grounder.lift(cfg.mining.attributes, state.rules)
         patterns = finalize_patterns(
-            cfg.mining.attributes, state.groups, cfg.mining
+            cfg.mining.attributes,
+            state.groups,
+            cfg.mining,
+            rule_of=lambda values: lifted[values][0],
         )
         policy = self.target.current_store().policy()
         prune = prune_patterns(patterns, policy, self.vocabulary, self._grounder)
         audit_policy = Policy(
-            (self._rule_for(values) for values in state.rules),
+            (lifted[values][0] for values in state.rules),
             source=PolicySource.AUDIT_LOG,
             name=f"P_AL({self.name})",
         )
@@ -423,7 +425,7 @@ class RefineDaemon:
         uncovered = sum(
             count
             for values, count in state.rules.items()
-            if self._grounder.ground_mask(self._rule_for(values)) & ~covering_mask
+            if lifted[values][1] & ~covering_mask
         )
         entry_ratio = (state.watermark - uncovered) / state.watermark
         accepted: list[Rule] = []
@@ -431,7 +433,7 @@ class RefineDaemon:
         decided = state.decided_rules()
         # DSL -> lifted values, to look a pattern's evidence back up
         dsl_values = {
-            format_rule(self._rule_for(values)): values for values in state.groups
+            format_rule(lifted[values][0]): values for values in state.groups
         }
         poll_trace = obstrace.current_trace_id() or ""
         # A gate that can score candidates (an ExplanationGate) stamps a

@@ -34,7 +34,7 @@ from repro.coverage.engine import (
 from repro.errors import RefinementError
 from repro.mining.patterns import MiningConfig, Pattern, PatternMiner
 from repro.obs.runtime import get_registry
-from repro.policy.grounding import Grounder
+from repro.policy.grounding import Grounder, grounder_for
 from repro.policy.policy import Policy
 from repro.refinement.extract import extract_patterns
 from repro.refinement.filtering import CLASSIFY_SCOPES, filter_practice
@@ -124,10 +124,14 @@ def refine(
     count).  A custom miner runs the literal Filter → extract → Prune
     pipeline.
 
-    Pass a shared ``grounder`` when refining repeatedly over one
-    vocabulary (the refinement loop does): store rules survive between
-    rounds, so their memoised expansions and interned range masks are
-    reused instead of re-ground every round.
+    Without a ``grounder`` the call grounds through the vocabulary's
+    shared :class:`~repro.policy.grounding.Grounder`
+    (:meth:`~repro.policy.grounding.Grounder.for_vocabulary`), so repeated
+    calls over one vocabulary reuse the store rules' expansions and the
+    trail's lifted rules instead of grounding them again; it starts
+    afresh if the vocabulary was mutated in between.  Pass your own
+    ``Grounder(vocabulary)`` to keep a private memo that raises
+    :class:`~repro.errors.CoverageError` on such a mutation instead.
     """
     cfg = config or RefinementConfig()
     from repro.parallel.refine import parallel_refine, supports_parallel_miner
@@ -139,7 +143,7 @@ def refine(
         reg.counter("repro_parallel_fallbacks_total", reason="custom_miner").inc()
     if len(audit_log) == 0:
         raise RefinementError("cannot refine against an empty audit log")
-    grounder = checked_grounder(vocabulary, grounder)
+    grounder = grounder_for(vocabulary, grounder)
     with reg.span("repro_refinement_stage", stage="coverage"):
         audit_policy = audit_log.to_policy(cfg.mining.attributes)
         coverage = compute_coverage(policy_store, audit_policy, vocabulary, grounder)
@@ -160,15 +164,6 @@ def refine(
     with reg.span("repro_refinement_stage", stage="prune"):
         prune_result = prune_patterns(patterns, policy_store, vocabulary, grounder)
     return finish_refinement(practice, patterns, prune_result, coverage, entry_coverage)
-
-
-def checked_grounder(vocabulary: Vocabulary, grounder: Grounder | None) -> Grounder:
-    """``grounder``, or a fresh one; refuse one built for another vocabulary."""
-    if grounder is None:
-        return Grounder(vocabulary)
-    if grounder.vocabulary is not vocabulary:
-        raise RefinementError("refine called with a grounder for a different vocabulary")
-    return grounder
 
 
 def finish_refinement(

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.mining.patterns import Pattern
-from repro.policy.grounding import Grounder, Range
+from repro.policy.grounding import Grounder, Range, grounder_for
 from repro.policy.policy import Policy
 from repro.vocab.vocabulary import Vocabulary
 
@@ -38,16 +38,16 @@ def prune_patterns(
     grounder: Grounder | None = None,
 ) -> PruneResult:
     """Algorithm 6 over mined ``patterns`` and the current ``policy_store``."""
-    if grounder is None:
-        grounder = Grounder(vocabulary)
+    grounder = grounder_for(vocabulary, grounder)
     store_mask = grounder.range_of(policy_store).mask
     useful: list[Pattern] = []
     pruned: list[Pattern] = []
     novel_mask = 0
     # Masks from one grounder share one interner, so Algorithm 6's
     # per-pattern "set complement" is a single bitwise and-not.
-    for pattern in patterns:
-        contribution = grounder.ground_mask(pattern.rule) & ~store_mask
+    masks = grounder.masks(pattern.rule for pattern in patterns)
+    for pattern, mask in zip(patterns, masks):
+        contribution = mask & ~store_mask
         if contribution:
             useful.append(pattern)
             novel_mask |= contribution

@@ -58,7 +58,6 @@ class LoadReport:
     seconds: float = 0.0
     codes: dict = field(default_factory=dict)
     histogram: Histogram = field(default_factory=latency_histogram)
-    max_ms: float = 0.0
     #: open-loop sends that started behind schedule; high values mean
     #: the measured latencies include client-side queueing — exactly what
     #: coordinated omission would hide
@@ -87,6 +86,12 @@ class LoadReport:
         return self.codes.get("OVERLOADED", 0)
 
     @property
+    def max_ms(self) -> float:
+        """The largest latency in ms (0 when empty)."""
+        peak = self.histogram.max
+        return 0.0 if peak is None else peak
+
+    @property
     def mean_ms(self) -> float:
         """Arithmetic mean latency in ms (0 when empty)."""
         hist = self.histogram
@@ -95,8 +100,9 @@ class LoadReport:
     def quantile_ms(self, fraction: float) -> float:
         """The ``fraction`` latency quantile in ms, a bucket estimate
         capped at the largest sample (0 when empty)."""
-        estimate = estimate_quantile(self.histogram.cumulative_buckets(), fraction)
-        return 0.0 if estimate is None else min(estimate, self.max_ms)
+        hist = self.histogram
+        estimate = estimate_quantile(hist.cumulative_buckets(), fraction, hist.max)
+        return 0.0 if estimate is None else estimate
 
     def summary(self) -> dict:
         """JSON-ready flattening of the report."""
@@ -137,17 +143,15 @@ def _load_shard(task: tuple) -> dict:
     hist = latency_histogram()
     codes: dict[str, int] = {}
     errors = late = 0
-    peak = 0.0
     # small lead so request 0 is not already behind schedule by the time
     # the worker threads have spun up
     start = time.perf_counter() + 0.05
 
     def worker() -> None:
-        nonlocal errors, late, peak
+        nonlocal errors, late
         local_hist = latency_histogram()
         local_codes: dict[str, int] = {}
         local_errors = local_late = 0
-        local_peak = 0.0
         client = PdpClient(host, port, timeout=timeout, retry=RetryPolicy())
         try:
             client.connect()
@@ -176,7 +180,6 @@ def _load_shard(task: tuple) -> dict:
                     continue
                 ms = (time.perf_counter() - sent) * 1000.0
                 local_hist.observe(ms)
-                local_peak = max(local_peak, ms)
                 local_codes[code] = local_codes.get(code, 0) + 1
         finally:
             client.close()
@@ -184,7 +187,6 @@ def _load_shard(task: tuple) -> dict:
             hist.merge(local_hist)
             errors += local_errors
             late += local_late
-            peak = max(peak, local_peak)
             for code, count in local_codes.items():
                 codes[code] = codes.get(code, 0) + count
 
@@ -204,7 +206,6 @@ def _load_shard(task: tuple) -> dict:
         "late_sends": late,
         "codes": codes,
         "histogram": hist,
-        "max_ms": peak,
     }
 
 
@@ -249,7 +250,6 @@ def run_load(
         report.errors += raw["errors"]
         report.late_sends += raw["late_sends"]
         report.seconds = max(report.seconds, raw["seconds"])
-        report.max_ms = max(report.max_ms, raw["max_ms"])
         for code, count in raw["codes"].items():
             report.codes[code] = report.codes.get(code, 0) + count
         report.histogram.merge(raw["histogram"])

@@ -37,18 +37,31 @@ class Vocabulary:
 
     def __init__(self, name: str = "vocabulary", strict: bool = False) -> None:
         self.name = name
-        self.strict = strict
+        self._strict = bool(strict)
         self._trees: dict[str, VocabularyTree] = {}
         self._version = 0
+
+    @property
+    def strict(self) -> bool:
+        """Whether unknown values raise (see the class docstring)."""
+        return self._strict
+
+    @strict.setter
+    def strict(self, value: bool) -> None:
+        # strictness changes what grounding returns, so it is a mutation
+        if bool(value) != self._strict:
+            self._strict = bool(value)
+            self._version += 1
 
     @property
     def version(self) -> int:
         """Monotonic mutation stamp over the whole vocabulary.
 
-        Changes whenever a tree is registered *or* any registered tree
-        gains a node, so a consumer holding one stamped value can detect
-        every mutation path.  The memoised grounder uses this to refuse to
-        serve expansions cached against an older hierarchy.
+        Changes whenever a tree is registered, any registered tree gains
+        a node, or :attr:`strict` flips, so a consumer holding one
+        stamped value can detect every mutation path.  The memoised
+        grounder uses this to refuse to serve expansions cached against
+        an older hierarchy.
         """
         return self._version + sum(tree.version for tree in self._trees.values())
 

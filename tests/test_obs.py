@@ -78,15 +78,19 @@ class TestHistogramMerge:
         assert left.count == both.count == 8
         assert left.sum == pytest.approx(both.sum)
         assert left.cumulative_buckets() == both.cumulative_buckets()
+        assert left.max == both.max == 50.0
 
     def test_merge_into_empty_and_of_empty(self):
         full = Histogram("h", {}, self.BOUNDS)
         full.observe(3.0)
         empty = Histogram("h", {}, self.BOUNDS)
+        assert empty.max is None
         assert empty.merge(full).cumulative_buckets() == full.cumulative_buckets()
+        assert empty.max == 3.0
         before = full.cumulative_buckets()
         full.merge(Histogram("h", {}, self.BOUNDS))
         assert full.cumulative_buckets() == before
+        assert full.max == 3.0
 
     def test_merge_carries_exemplars(self):
         left, right = Histogram("h", {}, self.BOUNDS), Histogram("h", {}, self.BOUNDS)

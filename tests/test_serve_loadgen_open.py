@@ -8,6 +8,8 @@ from bisect import bisect_left
 
 import pytest
 
+from repro.obs import MetricsRegistry
+from repro.obs.exposition import render_summary
 from repro.obs.metrics import estimate_quantile
 from repro.serve import (
     LoadReport,
@@ -47,7 +49,7 @@ class TestLatencyHistogram:
 
     def test_quantile_error_is_bounded_by_bucket_width(self):
         values = [0.1 + 0.01 * i for i in range(1000)]
-        report = LoadReport(max_ms=max(values))
+        report = LoadReport()
         for value in values:
             report.histogram.observe(value)
         ordered = sorted(values)
@@ -96,11 +98,38 @@ class TestLatencyHistogram:
         assert hist.cumulative_buckets()[0] == (LATENCY_BUCKETS_MS[0], 2)
 
     def test_quantiles_never_exceed_the_largest_sample(self):
-        report = LoadReport(max_ms=8.0)
+        report = LoadReport()
         for value in (0.5, 1.0, 8.0):
             report.histogram.observe(value)
+        assert report.max_ms == 8.0
         assert report.quantile_ms(1.0) == 8.0
         assert report.quantile_ms(0.5) <= report.quantile_ms(0.99) <= 8.0
+        # the summary exposition caps at the snapshot's max the same way:
+        # a uniform 0.1-10 ms sample over the driver's growth-1.25 buckets
+        # reads p99 ~11.4 ms uncapped
+        registry = MetricsRegistry()
+        hist = registry.histogram(
+            "repro_test_latency_seconds", buckets=tuple(
+                bound / 1000.0 for bound in LATENCY_BUCKETS_MS
+            ),
+        )
+        values = [0.1 + 0.0099 * i for i in range(1001)]
+        for value in values:
+            hist.observe(value / 1000.0)
+        snapshot = registry.snapshot()
+        (sample,) = snapshot["histograms"]
+        assert sample["max"] == pytest.approx(max(values) / 1000.0)
+        uncapped = estimate_quantile(sample["buckets"], 0.99)
+        assert uncapped * 1000.0 > max(values)
+        line = render_summary(snapshot).splitlines()[-1]
+        quantiles = dict(
+            field.split("=") for field in line.split() if field[:2] in ("p5", "p9")
+        )
+        for tag in ("p50", "p90", "p99"):
+            assert float(quantiles[tag].removesuffix("ms")) <= max(values)
+        assert float(quantiles["p99"].removesuffix("ms")) == pytest.approx(
+            max(values), rel=1e-3
+        )
 
 
 @pytest.fixture(scope="module")
