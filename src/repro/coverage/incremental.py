@@ -6,7 +6,8 @@ audit log is wasteful.  :class:`IncrementalCoverage` maintains both
 coverage semantics online:
 
 - entries stream in via :meth:`observe` (a counter per distinct ground
-  rule keeps multiset information);
+  rule keeps multiset information; a run of entries with one lifted rule
+  is one call with a count);
 - policy-store rules stream in via :meth:`add_rule` (newly covered ground
   rules are credited retroactively to all previously observed entries).
 
@@ -36,9 +37,16 @@ from repro.vocab.vocabulary import Vocabulary
 class IncrementalCoverage:
     """Online tracker of set- and entry-coverage of a policy over a trace."""
 
-    def __init__(self, vocabulary: Vocabulary, policy: Policy | None = None) -> None:
+    def __init__(
+        self,
+        vocabulary: Vocabulary,
+        policy: Policy | None = None,
+        grounder: Grounder | None = None,
+    ) -> None:
         self.vocabulary = vocabulary
-        self._grounder = Grounder(vocabulary)
+        #: a caller's grounder shares its memo (the daemon lifts every
+        #: rule it observes there first); otherwise a private one
+        self._grounder = grounder if grounder is not None else Grounder(vocabulary)
         self._interner = self._grounder.interner
         self._covered_mask = 0
         self._entry_counts: Counter[int] = Counter()  # ground-rule ID -> entries
@@ -75,20 +83,22 @@ class IncrementalCoverage:
     # ------------------------------------------------------------------
     # streaming inputs
     # ------------------------------------------------------------------
-    def observe(self, entry_rule: Rule) -> bool:
-        """Record one audit entry; returns whether it was covered.
+    def observe(self, entry_rule: Rule, count: int = 1) -> bool:
+        """Record ``count`` audit entries that lift to ``entry_rule``;
+        returns whether they are covered.
 
         Composite entries are reduced to their ground expansion; the entry
         counts as covered only when the whole expansion is covered (the
-        same convention as :func:`compute_entry_coverage`).
+        same convention as :func:`compute_entry_coverage`).  One call with
+        ``count=n`` is ``n`` calls with ``count=1``, for one grounding.
         """
         mask = self._grounder.ground_mask(entry_rule)
         covered = mask & ~self._covered_mask == 0
         for rule_id in iter_bits(mask):
-            self._entry_counts[rule_id] += 1
-        self._total_entries += 1
+            self._entry_counts[rule_id] += count
+        self._total_entries += count
         if covered:
-            self._matched_entries += 1
+            self._matched_entries += count
         return covered
 
     def add_rule(self, rule: Rule) -> int:

@@ -30,7 +30,7 @@ from pathlib import Path
 
 from repro.errors import DaemonError
 from repro.fleet.trail import fleet_sites
-from repro.parallel.partials import MapTask, map_shard
+from repro.parallel.partials import map_shard
 from repro.parallel.shards import shards_past_watermark
 from repro.policy.parser import format_rule
 from repro.refine_daemon.daemon import DaemonConfig, RefineDaemon
@@ -149,15 +149,6 @@ class FleetRefineDaemon(RefineDaemon):
         """
         state = self.state
         marks = self._member_marks()
-        task = MapTask(
-            attributes=self.config.mining.attributes,
-            include_denied=False,
-            exclude_suspected=False,
-            collect_regular=False,
-            miner="sql",
-            local_min_support=1,
-            collect_exceptions=True,
-        )
         root = self._store.directory
         consumed_total = 0
         new_marks: dict[str, int] = dict(marks)
@@ -180,7 +171,7 @@ class FleetRefineDaemon(RefineDaemon):
             )
             consumed = 0
             for shard in shards:
-                partial = map_shard(shard, task)
+                partial = map_shard(shard, self._task)
                 self._merge_partial(
                     partial, state.watermark + consumed_total + consumed
                 )

@@ -227,12 +227,24 @@ def state_path(directory: str | Path) -> Path:
     return Path(directory) / STATE_NAME
 
 
-def save_state(directory: str | Path, state: DaemonState) -> None:
-    """Atomically and durably replace the daemon state file."""
-    data = (json.dumps(state.to_dict(), indent=2, sort_keys=True) + "\n").encode(
-        "utf-8"
-    )
+def save_state(directory: str | Path, state: DaemonState) -> bytes:
+    """Atomically and durably replace the daemon state file; returns the
+    bytes written.
+
+    Compact, key-sorted JSON: without ``indent`` the C encoder does the
+    work, which is several times faster than the pure-Python one.
+    """
+    data = (json.dumps(state.to_dict(), sort_keys=True) + "\n").encode("utf-8")
     atomic_write_bytes(state_path(directory), data)
+    return data
+
+
+def read_state_bytes(directory: str | Path) -> bytes | None:
+    """The state file's raw bytes, or ``None`` when there is none."""
+    try:
+        return state_path(directory).read_bytes()
+    except FileNotFoundError:
+        return None
 
 
 def load_state(directory: str | Path) -> DaemonState:
@@ -244,11 +256,12 @@ def load_state(directory: str | Path) -> DaemonState:
     it explicitly rather than silently restarting from zero.
     """
     path = state_path(directory)
-    if not path.exists():
+    data = read_state_bytes(directory)
+    if data is None:
         return DaemonState()
     try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+        payload = json.loads(data.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DaemonError(
             f"{path} is not valid JSON ({exc}); delete the file to restart "
             f"the daemon from scratch, at the cost of a full re-mine"

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import logging
 import os
+import weakref
 from collections import deque
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
@@ -61,6 +62,14 @@ from repro.store.segment import (
     segment_name,
 )
 from repro.vocab.tree import canonical
+
+def _listener_failed(listener, event) -> None:
+    """Log a store listener's failure: it must not poison the write path
+    (the append or seal it observed is already committed)."""
+    logging.getLogger("repro.store").exception(
+        "store listener %r failed on %r", listener, event
+    )
+
 
 #: Valid values of :attr:`StoreConfig.fsync`.
 FSYNC_POLICIES: tuple[str, ...] = ("always", "interval", "off")
@@ -181,6 +190,10 @@ class AuditStore:
         self._flushes = 0
         self._seals = 0
         self._seal_listeners: list = []
+        #: weak references to append listeners (see add_append_listener),
+        #: replaced whole on every change so a running append never sees
+        #: the tuple mutate
+        self._append_listeners: tuple[weakref.ref, ...] = ()
         self._since_sync = 0
         self._index_cache: dict[str, SegmentIndex] = {}
         self._obs = get_registry()
@@ -311,6 +324,13 @@ class AuditStore:
         self._last_time = entry.time
         self._appends += 1
         self._bytes_written += written
+        for ref in self._append_listeners:
+            listener = ref()
+            if listener is not None:
+                try:
+                    listener(entry)
+                except Exception:
+                    _listener_failed(listener, entry)
         policy = self.config.fsync
         if policy == "always":
             self._writer.flush(sync=True)
@@ -368,15 +388,20 @@ class AuditStore:
         self._builder = IndexBuilder(self.config.time_index_stride)
         self._since_sync = 0
         self._seals += 1
+        # append listeners close out the segment before seal listeners
+        # (which may wake a daemon that looks for what they built) run
+        for ref in self._append_listeners:
+            listener = ref()
+            if listener is not None:
+                try:
+                    listener.sealed(meta)
+                except Exception:
+                    _listener_failed(listener, meta)
         for listener in tuple(self._seal_listeners):
-            # listeners observe a committed seal; their failures must not
-            # poison the write path
             try:
                 listener(meta)
-            except Exception:  # pragma: no cover - defensive
-                logging.getLogger("repro.store").exception(
-                    "seal listener %r failed for segment %s", listener, meta.name
-                )
+            except Exception:
+                _listener_failed(listener, meta)
 
     def seal_active(self) -> SegmentMeta | None:
         """Seal the active segment now; returns its :class:`SegmentMeta`.
@@ -401,6 +426,32 @@ class AuditStore:
         Exceptions raised by listeners are logged, never propagated.
         """
         self._seal_listeners.append(listener)
+
+    def add_append_listener(self, listener) -> None:
+        """Call ``listener(entry)`` after every committed append and
+        ``listener.sealed(meta)`` at every seal.
+
+        An append runs the call on the appending thread before any
+        rotation seal, so the entry lands in the segment the next
+        ``sealed`` call names; ``sealed`` runs after the manifest commit
+        and before the seal listeners.  The store holds the listener
+        *weakly* — it never keeps its owner alive, and a collected
+        listener is dropped — so pass an object the caller keeps, not a
+        bound method.  Exceptions are logged, never propagated.
+        """
+        owner = weakref.ref(self)
+
+        def forget(dead: weakref.ref) -> None:
+            store = owner()
+            if store is not None:
+                store._append_listeners = tuple(
+                    ref for ref in store._append_listeners if ref is not dead
+                )
+
+        self._append_listeners = (
+            *self._append_listeners,
+            weakref.ref(listener, forget),
+        )
 
     def sealed_segments(self) -> tuple[SegmentMeta, ...]:
         """The manifest's sealed segments, oldest first (post-compaction

@@ -491,6 +491,41 @@ class TestRefineDaemonCommand:
         log.close()
 
 
+    def test_cli_rejection_reaches_a_polling_daemon(self, tmp_path, capsys):
+        """Queue-gated daemon → CLI reject → the next poll holds the veto."""
+        from repro.experiments.harness import standard_loop_setup
+        from repro.mining.patterns import MiningConfig
+        from repro.policy.parser import parse_rule
+        from repro.refine_daemon import (
+            DaemonConfig,
+            QueueForReviewGate,
+            RefineDaemon,
+            StorePolicyTarget,
+        )
+        from repro.store.durable import DurableAuditLog
+
+        setup = standard_loop_setup(accesses_per_round=800, seed=7)
+        log = DurableAuditLog(tmp_path / "trail")
+        daemon = RefineDaemon(
+            log,
+            StorePolicyTarget(setup.store),
+            setup.vocabulary,
+            QueueForReviewGate(),
+            DaemonConfig(mining=MiningConfig(min_support=5, min_distinct_users=2)),
+        )
+        log.extend(setup.environment.simulate_round(0, setup.store))
+        log.seal_active()
+        assert daemon.poll().pended > 0
+        vetoed = daemon.state.pending[0].rule
+        directory = str(log.store.directory)
+        assert main(["refine-daemon", "reject", "--store-dir", directory, "0"]) == 0
+        daemon.poll(force_mine=True)
+        assert vetoed in {c.rule for c in daemon.state.rejected}
+        assert vetoed not in {c.rule for c in daemon.state.pending}
+        assert parse_rule(vetoed) not in setup.store
+        log.close()
+
+
 class TestSqlCommand:
     def test_explain_renders_plan_with_index_seek(self, capsys, log_file):
         assert main([

@@ -250,6 +250,105 @@ class TestResume:
         log_b.close()
 
 
+class TestStateFile:
+    """The state file is compact JSON, and the state in memory is exactly
+    what re-reading it would give — which is why a poll re-parses the
+    file only when its bytes changed."""
+
+    def test_saved_state_parses_back_to_the_state_after_every_poll(
+        self, tmp_path
+    ):
+        import json
+
+        from repro.refine_daemon import DaemonState
+        from repro.refine_daemon.state import state_path
+
+        setup = standard_loop_setup(accesses_per_round=800, seed=7)
+        log = DurableAuditLog(tmp_path / "trail", name="online")
+        daemon = RefineDaemon(
+            log,
+            StorePolicyTarget(setup.store),
+            setup.vocabulary,
+            QueueForReviewGate(),
+            DaemonConfig(mining=MiningConfig(**MINING)),
+        )
+        for round_index in range(ROUNDS):
+            log.extend(setup.environment.simulate_round(round_index, setup.store))
+            log.seal_active()
+            daemon.poll()
+            saved = state_path(log.store.directory).read_bytes()
+            assert saved.endswith(b"\n") and b"\n  " not in saved
+            assert DaemonState.from_dict(json.loads(saved)) == daemon.state
+        assert daemon.state.pending  # the ledger round-trips too
+        log.close()
+
+
+class TestCountAwareRestart:
+    """Rebuilding the coverage tracker from persisted state grounds each
+    distinct lifted rule once, not each entry, and loses nothing."""
+
+    def test_restart_grounds_once_per_distinct_key(self, tmp_path, monkeypatch):
+        from repro.audit.log import make_entry
+        from repro.audit.schema import AccessStatus
+        from repro.coverage.incremental import IncrementalCoverage
+        from repro.policy.grounding import Grounder
+        from repro.policy.store import PolicyStore
+        from repro.vocab.builtin import healthcare_vocabulary
+
+        vocabulary = healthcare_vocabulary()
+        policy = PolicyStore()
+        policy.add(parse_rule("ALLOW nurse TO USE prescription FOR treatment"))
+        combos = [
+            ("prescription", "treatment", "nurse"),
+            ("referral", "registration", "nurse"),
+            ("psychiatry", "billing", "clerk"),
+            ("lab_results", "treatment", "physician"),
+        ]
+        trail = [
+            make_entry(t, f"u{t % 5}", *combos[t % len(combos)],
+                       status=AccessStatus.EXCEPTION)
+            for t in range(120)
+        ]
+        log = DurableAuditLog(tmp_path / "trail")
+        config = DaemonConfig(mining=MiningConfig(**MINING), mine_every_polls=0)
+        log.extend(trail)
+        log.seal_active()
+        RefineDaemon(log, StorePolicyTarget(policy), vocabulary,
+                     AutoAcceptGate(**GATE), config).poll()
+        distinct = len(load_state(log.store.directory).rules)
+        assert distinct == len(combos) < len(trail)
+
+        calls: list = []
+        ground_mask = Grounder.ground_mask
+
+        def counted(self, rule):
+            calls.append(rule)
+            return ground_mask(self, rule)
+
+        monkeypatch.setattr(Grounder, "ground_mask", counted)
+        revived = RefineDaemon(log, StorePolicyTarget(policy), vocabulary,
+                               AutoAcceptGate(**GATE), config)
+        # one grounding per policy rule (add_rule) and per distinct key
+        assert len(calls) == len(policy.policy()) + distinct
+        monkeypatch.undo()
+
+        per_entry = IncrementalCoverage(vocabulary, policy.policy())
+        attributes = MiningConfig(**MINING).attributes
+        for entry in trail:
+            per_entry.observe(entry.to_rule(attributes))
+        tracker = revived._tracker
+        assert tracker.total_entries == per_entry.total_entries == len(trail)
+        assert tracker.matched_entries == per_entry.matched_entries
+        assert tracker.entry_coverage() == per_entry.entry_coverage()
+        assert tracker.set_coverage() == per_entry.set_coverage()
+        # a rule adopted later credits the observed history retroactively
+        adopted = parse_rule("ALLOW nurse TO USE referral FOR registration")
+        assert tracker.add_rule(adopted) == per_entry.add_rule(adopted) == 1
+        assert tracker.matched_entries == per_entry.matched_entries
+        assert tracker.entry_coverage() == per_entry.entry_coverage()
+        log.close()
+
+
 class TestReviewGateModes:
     """Auto-accept vs the human pending queue."""
 
@@ -300,6 +399,37 @@ class TestReviewGateModes:
         report = daemon.poll()  # reload → reconcile → adopt
         assert report.reconciled == 1
         assert parse_rule(candidate.rule) in setup.store
+        log.close()
+
+    def test_cli_style_rejection_holds_from_the_next_poll(self, tmp_path):
+        setup = standard_loop_setup(accesses_per_round=800, seed=7)
+        log = DurableAuditLog(tmp_path / "trail")
+        daemon = RefineDaemon(
+            log,
+            StorePolicyTarget(setup.store),
+            setup.vocabulary,
+            QueueForReviewGate(),
+            DaemonConfig(mining=MiningConfig(**MINING)),
+        )
+        log.extend(setup.environment.simulate_round(0, setup.store))
+        log.seal_active()
+        daemon.poll()
+        from repro.refine_daemon import save_state
+
+        state = load_state(log.store.directory)
+        candidate = state.pending.pop(0)
+        candidate.decided_by = "privacy-officer"
+        state.rejected.append(candidate)
+        save_state(log.store.directory, state)
+        log.extend(setup.environment.simulate_round(1, setup.store))
+        log.seal_active()
+        daemon.poll()  # reload → the veto holds through a mining round
+        assert candidate.rule in {c.rule for c in daemon.state.rejected}
+        assert candidate.rule not in {c.rule for c in daemon.state.pending}
+        assert parse_rule(candidate.rule) not in setup.store
+        assert candidate.rule in {
+            c.rule for c in load_state(log.store.directory).rejected
+        }
         log.close()
 
     def test_auto_rejections_are_not_sticky(self, tmp_path):
