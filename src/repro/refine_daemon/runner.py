@@ -53,7 +53,12 @@ class DaemonThread:
         self.last_report: PollReport | None = None
         store = listen_to if listen_to is not None else daemon._store
         if hasattr(store, "add_seal_listener"):
-            store.add_seal_listener(self._on_seal)
+            # the store keeps its seal listeners for its whole life, so
+            # the listener holds only the wake event: a stopped runner
+            # and its daemon (with the daemon's append feed) stay
+            # collectable
+            wake = self._wake
+            store.add_seal_listener(lambda meta: wake.set())
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -89,9 +94,6 @@ class DaemonThread:
     def wake(self) -> None:
         """Ask the loop to poll now instead of waiting out the interval."""
         self._wake.set()
-
-    def _on_seal(self, meta) -> None:
-        self.wake()
 
     # ------------------------------------------------------------------
     # the loop
