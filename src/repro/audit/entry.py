@@ -4,7 +4,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from repro.audit.schema import AUDIT_ATTRIBUTES, RULE_ATTRIBUTES, AccessOp, AccessStatus
+from repro.audit.schema import (
+    AUDIT_ATTRIBUTES,
+    RULE_ATTRIBUTES,
+    STRING_ATTRIBUTES,
+    AccessOp,
+    AccessStatus,
+)
 from repro.errors import AuditError
 from repro.policy.rule import Rule
 from repro.vocab.tree import canonical
@@ -48,7 +54,7 @@ class AuditEntry:
             raise AuditError(f"audit time must be non-negative, got {self.time}")
         object.__setattr__(self, "op", AccessOp(self.op))
         object.__setattr__(self, "status", AccessStatus(self.status))
-        for attribute in ("user", "data", "purpose", "authorized"):
+        for attribute in STRING_ATTRIBUTES:
             object.__setattr__(
                 self, attribute, canonical_field(attribute, getattr(self, attribute))
             )

@@ -49,6 +49,10 @@ AUDIT_ATTRIBUTES: tuple[str, ...] = (
 #: ``P_AL`` (Section 5 analyses over exactly this subset).
 RULE_ATTRIBUTES: tuple[str, ...] = ("data", "purpose", "authorized")
 
+#: The attributes an entry holds as canonical plain strings (the rest are
+#: an integer tick and enum codes), so ``str()`` of one is its value.
+STRING_ATTRIBUTES: tuple[str, ...] = ("user", "data", "purpose", "authorized")
+
 
 #: Secondary indexes for the hot audit columns: equality-heavy attributes
 #: get hash indexes (miner practice lookups, HDB consent checks), ``time``
