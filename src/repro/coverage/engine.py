@@ -146,24 +146,17 @@ def compute_entry_coverage(
 
 
 def grouped_entry_coverage(
-    covering: Range,
-    groups: Iterable[tuple[int, Iterable[int]]],
-    total: int,
+    covering: Range, missed: Iterable[Iterable[int]], total: int
 ) -> EntryCoverageReport:
-    """Entry coverage of a trace given as its distinct rules.
+    """Entry coverage of a ``total``-entry trace given as its distinct rules.
 
-    ``groups`` pairs the ground mask of each distinct rule of a
-    ``total``-entry trace with the ascending positions of its entries;
-    the masks and ``covering`` come from one grounder.  Only the
-    positions of uncovered rules are read, merged into trace order.
-    Equal to :func:`compute_entry_coverage` over the ungrouped trace.
+    ``missed`` holds, for each distinct rule ``covering`` does not
+    cover, the ascending positions of its entries; they are merged into
+    trace order.  Equal to :func:`compute_entry_coverage` over the
+    ungrouped trace.
     """
     reg = get_registry()
     with reg.span("repro_coverage_compute", kind="entry"):
-        covering_mask = covering.mask
-        missed = [
-            positions for mask, positions in groups if mask & ~covering_mask != 0
-        ]
         misses = list(heap_merge(*missed))
     return _entry_report(reg, covering, total, misses)
 

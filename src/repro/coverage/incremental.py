@@ -7,7 +7,8 @@ coverage semantics online:
 
 - entries stream in via :meth:`observe` (a counter per distinct ground
   rule keeps multiset information; a run of entries with one lifted rule
-  is one call with a count);
+  is one call with a count), or via :meth:`observe_mask` when the caller
+  already holds the rule's ground mask;
 - policy-store rules stream in via :meth:`add_rule` (newly covered ground
   rules are credited retroactively to all previously observed entries).
 
@@ -92,7 +93,12 @@ class IncrementalCoverage:
         same convention as :func:`compute_entry_coverage`).  One call with
         ``count=n`` is ``n`` calls with ``count=1``, for one grounding.
         """
-        mask = self._grounder.ground_mask(entry_rule)
+        return self.observe_mask(self._grounder.ground_mask(entry_rule), count)
+
+    def observe_mask(self, mask: int, count: int = 1) -> bool:
+        """:meth:`observe` for a rule already grounded to ``mask`` by this
+        tracker's grounder (as :meth:`Grounder.lift
+        <repro.policy.grounding.Grounder.lift>` returns it)."""
         covered = mask & ~self._covered_mask == 0
         for rule_id in iter_bits(mask):
             self._entry_counts[rule_id] += count

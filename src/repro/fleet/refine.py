@@ -3,9 +3,10 @@
 :class:`FleetRefineDaemon` is the PR 6 :class:`RefineDaemon` pointed at a
 *federated* evidence base: instead of tailing one store it tails every
 worker's sealed segments in site order, folding each into the same
-cumulative aggregates.  The PR 4 merge-equivalence argument makes the
-mining round over those aggregates equal a serial ``refine()`` over the
-consolidated trail — which is exactly what E21 pins byte-for-byte.
+cumulative :class:`~repro.parallel.refine.TrailAggregate` through the
+base class's consume.  Folding is exact, so the mining round over that
+aggregate equals a serial ``refine()`` over the consolidated trail —
+which is exactly what E21 pins byte-for-byte.
 
 Two deltas from the single-store daemon:
 
@@ -30,8 +31,6 @@ from pathlib import Path
 
 from repro.errors import DaemonError
 from repro.fleet.trail import fleet_sites
-from repro.parallel.partials import map_shard
-from repro.parallel.shards import shards_past_watermark
 from repro.policy.parser import format_rule
 from repro.refine_daemon.daemon import DaemonConfig, RefineDaemon
 from repro.refine_daemon.gate import ReviewGate
@@ -163,19 +162,7 @@ class FleetRefineDaemon(RefineDaemon):
                     f"its daemon mark is {mark}; the trail shrank — "
                     f"refusing to tail a rewritten history"
                 )
-            if total == mark:
-                new_marks[site] = total
-                continue
-            shards = shards_past_watermark(
-                directory, sealed, mark, label=f"{self.name}:{site}"
-            )
-            consumed = 0
-            for shard in shards:
-                partial = map_shard(shard, self._task)
-                self._merge_partial(
-                    partial, state.watermark + consumed_total + consumed
-                )
-                consumed += partial.entries
+            consumed = self._consume_files(directory, sealed, mark, consumed_total)
             if consumed != total - mark:
                 raise DaemonError(
                     f"fleet member {site}: tail pass consumed {consumed} "

@@ -1,32 +1,31 @@
 """The refinement kernel — map-reduce over the audit trail.
 
-The refinement pipeline (Algorithms 3-6) decomposes over any partition
-of the log:
+The refinement pipeline (Algorithms 3-6) decomposes over any contiguous
+split of the log:
 
-- **shard** (:mod:`repro.parallel.shards`): the trail is split into
+- **shard** (:mod:`repro.parallel.shards`): the trail splits into
   contiguous shards — durable-store segment files, in-memory chunks, or
   federation members — that concatenate back to the global append order;
-- **map** (:mod:`repro.parallel.partials`): each shard is streamed once,
-  computing Filter plus *partial* pattern-mining aggregates (mergeable
-  ``group -> (support, user-set)`` state for the SQL miner, SON-style
-  local candidates for Apriori) and the per-rule entry positions
-  coverage needs;
-- **merge** (:mod:`repro.parallel.refine`): the partials are folded
-  together deterministically, the global ``HAVING`` thresholds
-  re-applied, both coverage semantics reconstructed, and the patterns
-  pruned with one shared interned grounder so every mask stays
-  comparable.
+- **map** (:mod:`repro.parallel.partials`): each shard streams once into
+  a mergeable partial: Filter, the practice groups
+  ``key -> (support, user-set)`` (SON-style local candidates for
+  Apriori), the entry positions of every lifted rule and the
+  violation classifier's signals;
+- **fold and finish** (:mod:`repro.parallel.refine`): the partials fold,
+  in shard order, into one :class:`~repro.parallel.refine.TrailAggregate`,
+  whose ``finish`` lifts the rules, computes coverage, re-applies the
+  global ``HAVING`` thresholds and ordering, and prunes — with one shared
+  grounder, so every mask stays comparable.  The refinement daemon and
+  the fleet daemon keep the same aggregate across polls.
 
 :func:`repro.refinement.engine.refine` runs this kernel for the built-in
-miners at every worker count: one worker maps a single shard in-process
-(one pass over the trail), ``RefinementConfig(execution=ExecutionPolicy(
-workers=N))`` maps N shards on a process pool.  The result is
-*byte-identical* to the paper's literal pipeline over the same log —
-same accepted rules in the same order, same prune partition, same
-coverage ratios and uncovered-entry indices — because every merge is
-over exact counts and the final ordering rules are re-applied globally.
-Custom miners run the literal pipeline; a process pool the platform
-refuses to give us falls back to in-process mapping.
+miners at every worker count: one worker maps the trail in-process as a
+single shard, ``RefinementConfig(execution=ExecutionPolicy(workers=N))``
+maps N shards on a process pool.  The result is *byte-identical* to the
+paper's literal pipeline over the same log, because every fold is over
+exact counts and the final ordering is re-applied globally.  Custom
+miners run the literal pipeline; a process pool the platform refuses to
+give us falls back to in-process mapping.
 """
 
 from repro.parallel.execution import ExecutionPolicy

@@ -43,9 +43,6 @@ from repro.parallel.shards import Shard, iter_shard
 #: A lifted-rule key: the entry's stringified values over some attributes.
 GroupKey = tuple[str, ...]
 
-#: Miner kinds the map phase knows how to partially aggregate.
-PARALLEL_MINERS: tuple[str, ...] = ("sql", "apriori")
-
 
 @lru_cache(maxsize=None)
 def key_of(attributes: tuple[str, ...]) -> Callable[[AuditEntry], GroupKey]:

@@ -18,9 +18,6 @@ from concurrent.futures.process import BrokenProcessPool
 from repro.obs.runtime import get_registry
 from repro.parallel.shards import Shard
 
-#: run_sharded modes, as reported back to the coordinator.
-MODES: tuple[str, ...] = ("serial", "pool")
-
 
 def map_in_process(
     worker: Callable, shards: Sequence[Shard], task

@@ -1,54 +1,40 @@
-"""The refinement kernel: shard → map → deterministic merge.
+"""The refinement kernel: shard → map → fold → finish.
 
-:func:`parallel_refine` runs Algorithm 2 for the built-in miners, and
-:func:`repro.refinement.engine.refine` delegates to it at every worker
-count.  One worker maps in-process, by default a single shard — serial
-``refine()`` is the one-shard case, reading the trail exactly once.
-More workers map their shards on a process pool.  Both feed the same
-merge: lift → coverage → entry coverage from the mapped positions →
-suspected set → patterns → prune → lazy practice view.
+:func:`parallel_refine` runs Algorithm 2 for the built-in miners at
+every worker count: one worker maps the trail in-process as one shard,
+more map one shard each on a process pool.  The partials fold into one
+:class:`TrailAggregate`, whose :meth:`~TrailAggregate.finish` runs the
+rest of the round.  The refinement daemon keeps the same aggregate
+across polls and finishes it at each mining round.
 
-Determinism and equality with the paper's literal pipeline (Filter →
-the Algorithm 5 SQL statement → Prune, kept as the test oracle) come
-from four commitments:
+The result equals the paper's literal pipeline (the test oracle) because
+partials are exact (counts add, user sets union), the global thresholds
+and orderings apply only at the finish (the Apriori path over-collects
+candidates by the SON pigeonhole bound and recounts them exactly, unless
+one unscreened shard's counts already are), and one grounder grounds
+everything — by default the vocabulary's shared one, whose memos carry
+over from call to call.
 
-1. **Exact partials.**  Supports add, user sets union, entry positions
-   offset — nothing sampled, nothing approximated — so merged counts
-   equal a single global pass.
-2. **Global thresholds re-applied at the merge.**  The ``HAVING`` bounds
-   (and the classifier's verdict thresholds under violation screening)
-   are evaluated only against merged totals; workers never discard a
-   group the globals might keep (the SQL path ships every group, the
-   Apriori path over-collects candidates via the SON pigeonhole bound
-   and recounts them exactly — unless one unscreened shard's counts
-   already are exact).
-3. **Global ordering re-applied at the merge.**  Results are sorted with
-   the miners' own keys (:func:`~repro.mining.patterns.sql_pattern_order`,
-   :func:`~repro.mining.patterns.apriori_pattern_order`), so worker
-   completion order never shows through.
-4. **One shared grounder.**  Coverage and pruning masks are produced by
-   the coordinator's single interned grounder; worker processes never
-   ground anything, so every mask is comparable.  Unless the caller
-   passes one, that is the vocabulary's shared grounder, whose memos
-   (expansions, and each trail key's lifted rule and mask) carry over
-   from one call to the next.
-
-Every call emits the ``repro_refinement_stage`` spans: ``filter`` times
-the streaming map, ``coverage`` the merge's coverage, ``extract`` the
-pattern reduce and ``prune`` Prune.
+A finish emits the ``repro_refinement_stage`` spans ``coverage``,
+``extract`` and ``prune``; the kernel adds ``filter`` around the map.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
+from dataclasses import dataclass, field
 from itertools import accumulate
 
 from repro.audit.classify import ClassifierConfig
 from repro.audit.schema import RULE_ATTRIBUTES
-from repro.coverage.engine import compute_coverage, grouped_entry_coverage
+from repro.coverage.engine import (
+    CoverageReport,
+    compute_coverage,
+    grouped_entry_coverage,
+)
 from repro.errors import RefinementError
 from repro.mining.apriori import AprioriPatternMiner
-from repro.mining.patterns import apriori_pattern_order
+from repro.mining.patterns import MiningConfig, Pattern, apriori_pattern_order
 from repro.mining.sql_patterns import (
     SqlPatternMiner,
     finalize_patterns,
@@ -69,13 +55,167 @@ from repro.parallel.pool import map_in_process, run_sharded
 from repro.parallel.shards import shards_of
 from repro.policy.grounding import Grounder, grounder_for
 from repro.policy.policy import Policy, PolicySource
+from repro.policy.rule import Rule
 from repro.refinement.engine import (
     RefinementConfig,
     RefinementResult,
     finish_refinement,
 )
-from repro.refinement.prune import prune_patterns
+from repro.refinement.prune import PruneResult, prune_patterns
 from repro.vocab.vocabulary import Vocabulary
+
+#: Evidence entry ids kept per practice rule (the first ones folded).
+EVIDENCE_LIMIT: int = 16
+
+
+@dataclass(frozen=True)
+class TrailRound:
+    """What :meth:`TrailAggregate.finish` yields for one round."""
+
+    #: every rule key -> its lifted rule and ground mask
+    lifted: dict[GroupKey, tuple[Rule, int]]
+    coverage: CoverageReport
+    entries: int
+    #: the rule keys the policy does not cover -> their entry counts
+    uncovered: dict[GroupKey, int]
+    suspected: frozenset
+    patterns: tuple[Pattern, ...]
+    prune: PruneResult
+
+    @property
+    def entry_ratio(self) -> float:
+        """The share of folded entries whose rule the policy covers."""
+        return (self.entries - sum(self.uncovered.values())) / self.entries
+
+
+@dataclass
+class TrailAggregate:
+    """All Algorithm 2 needs of a trail after the map.  Folding the
+    partials of any contiguous split, in trail order, gives the aggregate
+    of one pass; folding is associative, so aggregates fold together too.
+    """
+
+    #: every distinct rule key, in first-occurrence order -> entry count
+    rules: dict[GroupKey, int] = field(default_factory=dict)
+    #: the practice groups ``key -> [support, user-set]``; keys are
+    #: ``(values, classifier values)`` for the screened SQL miner
+    groups: dict = field(default_factory=dict)
+    #: practice rule key -> its first :data:`EVIDENCE_LIMIT` exception
+    #: entry ids (only when the map collected exceptions)
+    evidence: dict[GroupKey, list[int]] = field(default_factory=dict)
+    #: the violation classifier's exception support and users per rule
+    #: (only when the map screened suspected violations)
+    cls_stats: dict = field(default_factory=dict)
+    #: rules echoed by an allowed regular entry (only when collected)
+    regular_rules: set = field(default_factory=set)
+
+    def fold(
+        self, part: "ShardPartial | TrailAggregate", base: int = 0
+    ) -> "TrailAggregate":
+        """Fold ``part`` in after everything folded so far; returns self.
+        ``base``, the trail index of ``part``'s first entry, turns its
+        evidence positions into trail indices."""
+        if isinstance(part, TrailAggregate):
+            counts = part.rules.items()
+            evidence = part.evidence
+        else:
+            counts = (
+                (values, len(positions))
+                for values, positions in part.rule_entries.items()
+            )
+            evidence = part.exception_entries or {}
+        rules = self.rules
+        for values, count in counts:
+            rules[values] = rules.get(values, 0) + count
+        fold_groups(self.groups, part.groups)
+        for values, positions in evidence.items():
+            held = self.evidence.setdefault(values, [])
+            room = EVIDENCE_LIMIT - len(held)
+            if room > 0:
+                held.extend(base + position for position in positions[:room])
+        if part.cls_stats:
+            fold_groups(self.cls_stats, part.cls_stats)
+        if part.regular_rules:
+            self.regular_rules |= part.regular_rules
+        return self
+
+    def suspected(self, config: ClassifierConfig) -> frozenset:
+        """Reproduce ``classify_exceptions`` verdicts from folded signals:
+        a rule is suspected iff its exception support or user count fails
+        its threshold and no regular entry echoed it (no echo is collected
+        under ``classify_scope="practice"``)."""
+        echoed = self.regular_rules
+        return frozenset(
+            key
+            for key, (count, users) in self.cls_stats.items()
+            if not (
+                count >= config.min_support
+                and len(users) >= config.min_distinct_users
+            )
+            and not (config.trust_regular_echo and key in echoed)
+        )
+
+    def finish(
+        self,
+        policy: Policy,
+        vocabulary: Vocabulary,
+        grounder: Grounder,
+        mining: MiningConfig,
+        miner: str = "sql",
+        classifier: ClassifierConfig | None = None,
+        name: str = "audit_log",
+    ) -> TrailRound:
+        """Everything after the fold: lift and set coverage, the
+        uncovered rules, the suspected set (when ``classifier`` screens),
+        the patterns under the global thresholds in ``miner``'s order
+        (``"sql"`` or ``"apriori"``), then Prune against ``policy``.
+        ``name`` names the trail in ``P_AL(name)``."""
+        attributes = mining.attributes
+        reg = get_registry()
+        with reg.span("repro_refinement_stage", stage="coverage"):
+            lifted = grounder.lift(attributes, self.rules)
+            audit_policy = Policy(
+                (rule for rule, _ in lifted.values()),
+                source=PolicySource.AUDIT_LOG,
+                name=f"P_AL({name})",
+            )
+            coverage = compute_coverage(policy, audit_policy, vocabulary, grounder)
+            covering = coverage.covering.mask
+            uncovered = {
+                values: count
+                for values, count in self.rules.items()
+                if lifted[values][1] & ~covering
+            }
+
+        with reg.span("repro_refinement_stage", stage="extract"):
+            suspected: frozenset = frozenset()
+            groups = self.groups
+            if classifier is not None:
+                suspected = self.suspected(classifier)
+                if miner == "sql":  # compound keys: drop the suspected
+                    groups = {}
+                    for (values, cls_values), slot in self.groups.items():
+                        if cls_values not in suspected:
+                            fold_groups(groups, {values: slot})
+            patterns = finalize_patterns(
+                attributes,
+                groups,
+                mining,
+                apriori_pattern_order if miner == "apriori" else None,
+                rule_of=lambda values: lifted[values][0],
+            )
+
+        with reg.span("repro_refinement_stage", stage="prune"):
+            prune = prune_patterns(patterns, policy, vocabulary, grounder)
+        return TrailRound(
+            lifted=lifted,
+            coverage=coverage,
+            entries=sum(self.rules.values()),
+            uncovered=uncovered,
+            suspected=suspected,
+            patterns=patterns,
+            prune=prune,
+        )
 
 
 def supports_parallel_miner(miner) -> bool:
@@ -106,31 +246,6 @@ def _map(worker, shards, task, workers: int) -> tuple[list, str]:
     return run_sharded(worker, shards, task, workers)
 
 
-def _merge_suspected(
-    partials: list[ShardPartial], config: ClassifierConfig
-) -> frozenset:
-    """Reproduce ``classify_exceptions`` verdicts from merged signals.
-
-    A rule is suspected iff its merged exception support/user counts fail
-    both thresholds *and* no shard saw it echoed through the regular
-    path (the echo sets are empty under ``classify_scope="practice"``,
-    which is exactly the serial semantics: the practice subset holds no
-    regular entries, so the echo rescue never fires there).
-    """
-    stats = fold_groups({}, *(partial.cls_stats or {} for partial in partials))
-    echoed: set = set()
-    for partial in partials:
-        echoed |= partial.regular_rules or set()
-    return frozenset(
-        key
-        for key, (count, users) in stats.items()
-        if not (
-            count >= config.min_support and len(users) >= config.min_distinct_users
-        )
-        and not (config.trust_regular_echo and key in echoed)
-    )
-
-
 def _global_positions(
     partials: list[ShardPartial], offsets: list[int], values: GroupKey
 ) -> Iterator[int]:
@@ -147,27 +262,25 @@ def parallel_refine(
     config: RefinementConfig | None = None,
     grounder: Grounder | None = None,
 ) -> RefinementResult:
-    """Algorithm 2 as shard → partial aggregate → deterministic merge.
+    """Algorithm 2 as shard → map → fold → finish.
 
     Accepts exactly what :func:`repro.refinement.engine.refine` accepts
     for a built-in miner; ``config.execution`` sets the worker count
     (default one).  Returns the literal pipeline's
-    :class:`~repro.refinement.engine.RefinementResult` — same patterns in
-    the same order, same prune partition, same coverage ratios and
-    uncovered-entry indices.
+    :class:`~repro.refinement.engine.RefinementResult`.
     """
-    from repro.parallel.execution import ExecutionPolicy
-
     cfg = config or RefinementConfig()
-    execution = cfg.execution or ExecutionPolicy()
+    workers = cfg.execution.workers if cfg.execution is not None else 1
     kind = _miner_kind(cfg.miner)
     grounder = grounder_for(vocabulary, grounder)
     attributes = cfg.mining.attributes
     screened = cfg.exclude_suspected_violations
+    classifier = (cfg.classifier or ClassifierConfig()) if screened else None
+    name = getattr(audit_log, "name", "audit_source")
 
     reg = get_registry()
     with reg.span("repro_refinement_stage", stage="filter"):
-        shards = shards_of(audit_log, execution.shard_limit)
+        shards = shards_of(audit_log, workers)
         task = MapTask(
             attributes=attributes,
             include_denied=cfg.include_denied,
@@ -178,7 +291,7 @@ def parallel_refine(
                 1, -(-cfg.mining.min_support // max(1, len(shards)))
             ),
         )
-        partials, mode = _map(map_shard, shards, task, execution.workers)
+        partials, mode = _map(map_shard, shards, task, workers)
     offsets = list(accumulate((partial.entries for partial in partials), initial=0))
     total = offsets.pop()
     if total == 0:
@@ -197,80 +310,58 @@ def parallel_refine(
             sum(len(partial.groups) for partial in partials)
         )
 
-    with reg.span("repro_refinement_stage", stage="coverage"):
-        # Distinct lifted rules in first-global-occurrence order: shard
-        # order plus each partial's insertion order restores the order a
-        # single scan discovers them in.  The grounder's lift memo keeps
-        # each rule and its mask from one call to the next.
-        keys = dict.fromkeys(
-            values for partial in partials for values in partial.rule_entries
-        )
-        lifted = grounder.lift(attributes, keys)
-        audit_policy = Policy(
-            (rule for rule, _ in lifted.values()),
-            source=PolicySource.AUDIT_LOG,
-            name=f"P_AL({getattr(audit_log, 'name', 'audit_log')})",
-        )
-        coverage = compute_coverage(policy_store, audit_policy, vocabulary, grounder)
-        entry_coverage = grouped_entry_coverage(
-            coverage.covering,
-            (
-                (mask, _global_positions(partials, offsets, values))
-                for values, (_, mask) in lifted.items()
-            ),
-            total,
-        )
-
-    with reg.span("repro_refinement_stage", stage="extract"):
-        suspected: frozenset = frozenset()
-        if screened:
-            suspected = _merge_suspected(partials, cfg.classifier or ClassifierConfig())
-        groups = fold_groups({}, *(partial.groups for partial in partials))
-        if kind == "sql" and screened:
-            # compound (values, classifier values) keys: drop the suspected
-            compound, groups = groups, {}
-            for (values, cls_values), slot in compound.items():
-                if cls_values not in suspected:
-                    fold_groups(groups, {values: slot})
-        elif kind == "apriori" and groups and (len(shards) > 1 or suspected):
+    # shard order plus each partial's insertion order restores the order
+    # a single scan discovers the rule keys in
+    aggregate = TrailAggregate()
+    for partial in partials:
+        aggregate.fold(partial)
+    if kind == "apriori" and aggregate.groups:
+        suspected = aggregate.suspected(classifier) if screened else frozenset()
+        if len(shards) > 1 or suspected:
             # SON phase 2: exactly recount the locally frequent candidates
-            count_task = CountTask(
-                attributes=attributes,
-                include_denied=cfg.include_denied,
-                candidates=frozenset(groups),
-                suspected=suspected,
-            )
-            counts, _ = _map(count_shard, shards, count_task, execution.workers)
-            groups = fold_groups({}, *(partial.counts for partial in counts))
-        patterns = finalize_patterns(
-            attributes,
-            groups,
-            cfg.mining,
-            apriori_pattern_order if kind == "apriori" else None,
-            rule_of=lambda values: lifted[values][0],
-        )
-
-    with reg.span("repro_refinement_stage", stage="prune"):
-        prune_result = prune_patterns(patterns, policy_store, vocabulary, grounder)
+            with reg.span("repro_refinement_stage", stage="extract"):
+                count_task = CountTask(
+                    attributes=attributes,
+                    include_denied=cfg.include_denied,
+                    candidates=frozenset(aggregate.groups),
+                    suspected=suspected,
+                )
+                counts, _ = _map(count_shard, shards, count_task, workers)
+                aggregate.groups = fold_groups(
+                    {}, *(part.counts for part in counts)
+                )
+    trail = aggregate.finish(
+        policy_store, vocabulary, grounder, cfg.mining, kind, classifier, name
+    )
+    del aggregate  # free the folded groups before the positions merge peaks
+    # the aggregate keeps counts; the uncovered entries' indices come
+    # from the partials' positions, shifted by the shard offsets
+    entry_coverage = grouped_entry_coverage(
+        trail.coverage.covering,
+        (
+            _global_positions(partials, offsets, values)
+            for values in trail.uncovered
+        ),
+        total,
+    )
 
     practice_source = audit_log
     if not hasattr(audit_log, "where"):
         # Sources without the AuditLog read protocol (an AuditFederation)
         # are exposed through a lazy view over the shard plan, so the
         # returned practice subset streams in the same site-major order
-        # the merge used.
+        # the fold used.
         from repro.parallel.shards import iter_shard
         from repro.store.durable import StreamedAuditView
 
         practice_source = StreamedAuditView(
             lambda: (entry for shard in shards for entry in iter_shard(shard)),
-            name=getattr(audit_log, "name", "audit_source"),
+            name=name,
         )
-    # Same subset filter_practice would produce, but the suspected-rule
-    # verdicts come from the merged shard signals instead of an eager
-    # re-classification pass over the whole trail; they are the entries'
-    # own value tuples, so screening needs no lifted rule.
+    # filter_practice's subset, screened by the folded verdicts (keyed by
+    # the entries' own values) instead of a re-classification pass
     include_denied = cfg.include_denied
+    suspected = trail.suspected
     suspected_key = key_of(RULE_ATTRIBUTES)
 
     def _is_practice(entry) -> bool:
@@ -281,5 +372,7 @@ def parallel_refine(
         return not suspected or suspected_key(entry) not in suspected
 
     practice = practice_source.where(_is_practice)
-    practice.name = f"{getattr(audit_log, 'name', 'audit_source')}.practice"
-    return finish_refinement(practice, patterns, prune_result, coverage, entry_coverage)
+    practice.name = f"{name}.practice"
+    return finish_refinement(
+        practice, trail.patterns, trail.prune, trail.coverage, entry_coverage
+    )

@@ -180,17 +180,6 @@ class Range:
     __sub__ = difference
     __le__ = issubset
 
-    def covers_mask(self, mask: int, interner: RuleInterner) -> bool:
-        """True iff every rule in ``mask`` (under ``interner``) is in this range.
-
-        The mask-level form of the ``all(ground in range for ...)`` loops
-        the coverage engines used to run; with a shared interner it is one
-        bitwise expression.
-        """
-        if interner is self._interner:
-            return mask & ~self._mask == 0
-        return all(rule in self for rule in interner.rules_of(mask))
-
     def rules(self) -> tuple[Rule, ...]:
         """Return the ground rules in a deterministic (sorted) order."""
         return tuple(sorted(self, key=_rule_sort_key))

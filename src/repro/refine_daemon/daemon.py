@@ -6,14 +6,13 @@ amend cycle into a background process over the live deployment:
 - it **tails** the durable audit store *incrementally*: a persisted
   watermark (entry count) marks how much of the sealed region has been
   consumed, and each :meth:`poll` streams only the sealed segments past
-  it — never a full rescan.  Consumed entries fold into the cumulative
-  mergeable aggregates of :mod:`repro.parallel` (supports add, user sets
-  union), so a mining round is a pure reduce over state proportional to
-  the number of *distinct* lifted rules, not the trail length.  By the
-  PR 4 merge-equivalence argument, the reduce over the cumulative
-  aggregate equals a from-scratch serial ``refine()`` over the whole
-  consumed trail — ``tests/test_refine_daemon_sim.py`` pins this
-  byte-for-byte against the offline loop.  When the daemon's store is
+  it — never a full rescan.  Consumed partials fold into the state, a
+  cumulative :class:`~repro.parallel.refine.TrailAggregate`, and a mining
+  round is its ``finish`` — the one that ends an offline ``refine()`` —
+  over state proportional to the number of *distinct* lifted rules, so
+  it equals a from-scratch serial ``refine()`` over the consumed trail
+  (``tests/test_refine_daemon_sim.py`` pins this byte-for-byte against
+  the offline loop).  When the daemon's store is
   the live writer in this process, an :class:`AppendFeed` folds each
   appended entry into the active segment's partial as it is written, so
   a poll merges that partial at seal instead of decoding the segment;
@@ -21,8 +20,8 @@ amend cycle into a background process over the live deployment:
 - mining **triggers** on a poll cadence, a wall-clock interval (under an
   injected clock), or a coverage-drop threshold fed by the incremental
   coverage engine (:class:`repro.coverage.incremental.IncrementalCoverage`),
-  which observes every tailed lifted rule, with its entry count, as it is
-  consumed.
+  which observes every tailed lifted rule's ground mask, with its entry
+  count, as it is consumed.
 - candidates pass a pluggable :class:`~repro.refine_daemon.gate.ReviewGate`;
   accepted rules **hot-swap** into the serving snapshot through a
   :class:`PolicyTarget` (the PR 5 copy-on-write admin path when embedded
@@ -46,13 +45,12 @@ import threading
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Protocol
 
-from repro.coverage.engine import compute_coverage
 from repro.coverage.incremental import IncrementalCoverage
 from repro.errors import DaemonError
-from repro.mining.patterns import MiningConfig, Pattern
-from repro.mining.sql_patterns import finalize_patterns, fold_groups
+from repro.mining.patterns import MiningConfig
 from repro.obs import trace as obstrace
 from repro.obs.runtime import get_registry
 from repro.parallel.partials import (
@@ -61,18 +59,18 @@ from repro.parallel.partials import (
     ShardPartial,
     map_shard,
 )
+from repro.parallel.refine import (  # noqa: F401
+    compute_coverage,  # kept for perfbench/plans.py only (ROADMAP item 3)
+    prune_patterns,  # kept for perfbench/plans.py only (ROADMAP item 3)
+)
 from repro.parallel.shards import shards_past_watermark
 from repro.policy.grounding import Grounder
 from repro.policy.parser import format_rule, parse_rule
-from repro.policy.policy import Policy, PolicySource
 from repro.policy.rule import Rule
 from repro.policy.store import PolicyStore
 from repro.refine_daemon.gate import ReviewGate
-from repro.refinement.prune import prune_patterns
 from repro.refine_daemon.state import (
-    EVIDENCE_LIMIT,
     Candidate,
-    DaemonState,
     load_state,
     read_state_bytes,
     save_state,
@@ -302,9 +300,10 @@ class RefineDaemon:
         tracker = IncrementalCoverage(self.vocabulary, grounder=self._grounder)
         for rule in self.target.current_store().policy():
             tracker.add_rule(rule)
-        lifted = self._grounder.lift(self.config.mining.attributes, self.state.rules)
-        for values, count in self.state.rules.items():
-            tracker.observe(lifted[values][0], count)
+        rules = self.state.rules
+        lifted = self._grounder.lift(self.config.mining.attributes, rules)
+        for (_, mask), count in zip(lifted.values(), rules.values()):
+            tracker.observe_mask(mask, count)
         return tracker
 
     def _reload_state(self) -> None:
@@ -417,6 +416,7 @@ class RefineDaemon:
         a segment renamed by compaction, one the feed joined part-way or
         failed on, anything before a restart — is mapped from its file.
         """
+        directory = self._store.directory
         sealed = self._store.sealed_segments()
         total = sum(meta.entries for meta in sealed)
         state = self.state
@@ -448,13 +448,13 @@ class RefineDaemon:
                 run.append(meta)
                 file_segments += 1
             else:
-                consumed += self._consume_files(run, skip, consumed)
+                consumed += self._consume_files(directory, run, skip, consumed)
                 run = []
                 self._merge_partial(partial, state.watermark + consumed)
                 consumed += partial.entries
                 fed_segments += 1
             position += meta.entries
-        consumed += self._consume_files(run, skip, consumed)
+        consumed += self._consume_files(directory, run, skip, consumed)
         if consumed != total - state.watermark:
             raise DaemonError(
                 f"tail pass consumed {consumed} entries but the sealed "
@@ -469,16 +469,19 @@ class RefineDaemon:
             self._obs.counter(segments, source="file").inc(file_segments)
         return consumed
 
-    def _consume_files(self, run: list, skip: int, consumed: int) -> int:
-        """Map consecutive sealed segments from their files, skipping
-        the first ``skip`` entries; ``consumed`` counts this tail pass's
-        entries before them.  Returns how many entries were merged."""
+    def _consume_files(
+        self, directory: Path, run, skip: int, consumed: int
+    ) -> int:
+        """Map consecutive sealed segments of the store at ``directory``
+        from their files, skipping the first ``skip`` entries;
+        ``consumed`` counts this tail pass's entries before them.
+        Returns how many entries were merged."""
         if not run:
             return 0
         base = self.state.watermark + consumed
         merged = 0
         for shard in shards_past_watermark(
-            self._store.directory, tuple(run), skip, label=self.name
+            directory, tuple(run), skip, label=self.name
         ):
             partial = map_shard(shard, self._task)
             # shards tail the trail in order, so the global id of a
@@ -489,13 +492,9 @@ class RefineDaemon:
         return merged
 
     def _merge_partial(self, partial: ShardPartial, base: int) -> None:
-        """Fold one shard's partial into the cumulative aggregates.
-
-        ``base`` is the global audit-entry index of the shard's first
-        entry — what turns the partial's local exception positions into
-        the global evidence ids a candidate is stamped with.
-        """
-        state = self.state
+        """Fold one shard's partial into the cumulative aggregate and the
+        coverage tracker; ``base``, the global index of the shard's first
+        entry, turns its exception positions into global evidence ids."""
         observer = self.config.entry_observer
         if observer is not None:
             order: list = [None] * partial.entries
@@ -504,20 +503,11 @@ class RefineDaemon:
                     order[position] = values
             for values in order:
                 observer(values)
-        lifted = self._grounder.lift(
-            self.config.mining.attributes, partial.rule_entries
-        )
-        for values, positions in partial.rule_entries.items():
-            count = len(positions)
-            state.rules[values] = state.rules.get(values, 0) + count
-            self._tracker.observe(lifted[values][0], count)
-        fold_groups(state.groups, partial.groups)
-        if partial.exception_entries:
-            for values, positions in partial.exception_entries.items():
-                evidence = state.evidence.setdefault(values, [])
-                room = EVIDENCE_LIMIT - len(evidence)
-                if room > 0:
-                    evidence.extend(base + pos for pos in positions[:room])
+        self.state.fold(partial, base)
+        rule_entries = partial.rule_entries
+        lifted = self._grounder.lift(self.config.mining.attributes, rule_entries)
+        for (_, mask), positions in zip(lifted.values(), rule_entries.values()):
+            self._tracker.observe_mask(mask, len(positions))
 
     def _mine_trigger(self, force: bool) -> str | None:
         """Which trigger (if any) fires a mining round this poll."""
@@ -550,39 +540,21 @@ class RefineDaemon:
         return None
 
     def _mine(self) -> dict:
-        """One mining round: reduce → prune → gate (no rescans)."""
+        """One mining round: finish the aggregate → gate (no rescans)."""
         state, cfg = self.state, self.config
-        # every group key is a rule key: both fold from the same partials
-        lifted = self._grounder.lift(cfg.mining.attributes, state.rules)
-        patterns = finalize_patterns(
-            cfg.mining.attributes,
-            state.groups,
+        trail = state.finish(
+            self.target.current_store().policy(),
+            self.vocabulary,
+            self._grounder,
             cfg.mining,
-            rule_of=lambda values: lifted[values][0],
+            name=self.name,
         )
-        policy = self.target.current_store().policy()
-        prune = prune_patterns(patterns, policy, self.vocabulary, self._grounder)
-        audit_policy = Policy(
-            (lifted[values][0] for values in state.rules),
-            source=PolicySource.AUDIT_LOG,
-            name=f"P_AL({self.name})",
-        )
-        coverage = compute_coverage(
-            policy, audit_policy, self.vocabulary, self._grounder
-        )
-        covering_mask = coverage.covering.mask
-        uncovered = sum(
-            count
-            for values, count in state.rules.items()
-            if lifted[values][1] & ~covering_mask
-        )
-        entry_ratio = (state.watermark - uncovered) / state.watermark
         accepted: list[Rule] = []
         pended = rejected = 0
         decided = state.decided_rules()
         # DSL -> lifted values, to look a pattern's evidence back up
         dsl_values = {
-            format_rule(lifted[values][0]): values for values in state.groups
+            format_rule(trail.lifted[values][0]): values for values in state.groups
         }
         poll_trace = obstrace.current_trace_id() or ""
         # A gate that can score candidates (an ExplanationGate) stamps a
@@ -590,7 +562,7 @@ class RefineDaemon:
         # pending queue untouched, preserving byte-identity with the
         # offline loop.
         strength_of = getattr(self.gate, "strength_of", None)
-        for pattern in prune.useful:
+        for pattern in trail.prune.useful:
             dsl = format_rule(pattern.rule)
             evidence = state.evidence.get(dsl_values.get(dsl, ()), [])
             existing = state.find_pending(dsl)
@@ -635,12 +607,12 @@ class RefineDaemon:
         state.rounds += 1
         state.last_mined_poll = state.polls
         state.last_mined_watermark = state.watermark
-        state.last_set_coverage = coverage.ratio
-        state.last_entry_coverage = entry_ratio
+        state.last_set_coverage = trail.coverage.ratio
+        state.last_entry_coverage = trail.entry_ratio
         self._last_mine_at = self._clock()
         return {
-            "patterns": patterns,
-            "useful": prune.useful,
+            "patterns": trail.patterns,
+            "useful": trail.prune.useful,
             "accepted": accepted,
             "pended": pended,
             "rejected": rejected,

@@ -10,12 +10,13 @@ of restart:
   entry order and content — "the first W entries" survives compaction,
   a name list does not.  The consumed segment names are kept purely as
   an advisory trace for humans.
-- the **cumulative mining aggregates**: the merged SQL-miner partial
-  (``groups``: lifted practice rule → support + distinct-user set) and
-  the distinct lifted rules of the whole consumed trail in first-
-  occurrence order with entry counts (``rules``) — exactly the mergeable
-  state of :mod:`repro.parallel`, so a mining round is a pure reduce
-  over this state and never rescans consumed segments.
+- the **cumulative mining aggregate**: the state is a
+  :class:`~repro.parallel.refine.TrailAggregate` over the whole consumed
+  trail — the distinct lifted rules in first-occurrence order with
+  entry counts (``rules``), the SQL miner's practice groups (``groups``:
+  lifted practice rule → support + distinct-user set) and the bounded
+  exception evidence (``evidence``) — so a mining round is its
+  ``finish`` and never rescans consumed segments.
 - the **review ledger**: pending / accepted / (human-)rejected
   candidates, serialised as policy DSL so the file stays reviewable.
 
@@ -33,6 +34,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.errors import DaemonError
+# EVIDENCE_LIMIT is re-exported: the ledger's evidence is bounded by it
+from repro.parallel.refine import EVIDENCE_LIMIT, TrailAggregate  # noqa: F401
 from repro.store.manifest import atomic_write_bytes
 
 #: File name of the daemon state inside a store directory.
@@ -40,12 +43,6 @@ STATE_NAME: str = "REFINE_DAEMON.json"
 
 #: State schema version.
 STATE_FORMAT: int = 1
-
-#: A lifted-rule key: stringified attribute values, as in repro.parallel.
-GroupKey = tuple[str, ...]
-
-#: Evidence entry ids retained per mined group (bounded, oldest first).
-EVIDENCE_LIMIT: int = 16
 
 
 @dataclass
@@ -111,8 +108,9 @@ class Candidate:
 
 
 @dataclass
-class DaemonState:
-    """The daemon's whole resumable state (see module docstring)."""
+class DaemonState(TrailAggregate):
+    """The daemon's whole resumable state (see module docstring): the
+    consumed trail's aggregate, the watermark and the review ledger."""
 
     watermark: int = 0
     segments_consumed: list[str] = field(default_factory=list)
@@ -122,14 +120,6 @@ class DaemonState:
     last_mined_watermark: int = 0
     last_set_coverage: float | None = None
     last_entry_coverage: float | None = None
-    #: merged practice aggregate: lifted rule values -> [support, user-set]
-    groups: dict[GroupKey, list] = field(default_factory=dict)
-    #: lifted rule values -> bounded global exception-entry indices (the
-    #: evidence behind :attr:`Candidate.evidence_entries`)
-    evidence: dict[GroupKey, list[int]] = field(default_factory=dict)
-    #: every distinct lifted rule of the consumed trail, first-occurrence
-    #: order, with entry counts (drives coverage without rescans)
-    rules: dict[GroupKey, int] = field(default_factory=dict)
     pending: list[Candidate] = field(default_factory=list)
     accepted: list[Candidate] = field(default_factory=list)
     rejected: list[Candidate] = field(default_factory=list)

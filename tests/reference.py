@@ -4,8 +4,10 @@
 merge kernel.  :func:`reference_refine` runs the paper's pipeline
 step by step instead — lift the log for coverage, Filter, the miner's
 own ``mine`` (for the default miner, the Algorithm 5 SQL statement on a
-sqlmini copy), Prune — sharing none of the kernel's merge code.  The
-identity suites, E2 and E17 compare the two with :func:`assert_identical`.
+sqlmini copy), Prune — sharing none of the kernel's fold or finish
+code.  The identity suites, E2 and E17 compare the two with
+:func:`assert_identical`; :func:`assert_round_identical` compares it
+with one ``TrailAggregate.finish``.
 
 :func:`reference_decode` is the store codec's validating decode: every
 record goes through the ``AuditEntry`` constructor.  The codec decodes
@@ -134,3 +136,24 @@ def assert_identical(expected: RefinementResult, actual: RefinementResult) -> No
     want, got = result_fields(expected), result_fields(actual)
     for name, value in want.items():
         assert got[name] == value, f"{name} differs"
+
+
+def assert_round_identical(
+    expected: RefinementResult, trail, entries, attributes: tuple[str, ...]
+) -> None:
+    """A ``TrailAggregate.finish`` round against the literal pipeline over
+    ``entries``: same patterns, prune partition and coverage, and its
+    uncovered rules hold exactly the literal uncovered entries."""
+    uncovered: dict = {}
+    for index in expected.entry_coverage.uncovered_entries:
+        values = tuple(str(getattr(entries[index], a)) for a in attributes)
+        uncovered[values] = uncovered.get(values, 0) + 1
+    assert trail.patterns == expected.patterns
+    assert trail.prune.useful == expected.useful_patterns
+    assert trail.prune.pruned == expected.pruned_patterns
+    assert trail.coverage.ratio == expected.coverage.ratio
+    assert trail.coverage.overlap == expected.coverage.overlap
+    assert trail.coverage.reference == expected.coverage.reference
+    assert trail.entries == expected.entry_coverage.total
+    assert trail.entry_ratio == expected.entry_coverage.ratio
+    assert list(trail.uncovered.items()) == list(uncovered.items())

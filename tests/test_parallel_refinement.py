@@ -28,7 +28,11 @@ from repro.mining.sql_patterns import (
 from repro.parallel.execution import ExecutionPolicy
 from repro.parallel.partials import MapTask, map_shard
 from repro.parallel.pool import run_sharded
-from repro.parallel.refine import parallel_refine, supports_parallel_miner
+from repro.parallel.refine import (
+    TrailAggregate,
+    parallel_refine,
+    supports_parallel_miner,
+)
 from repro.parallel.shards import Shard, iter_shard, shards_of
 from repro.policy.grounding import Grounder
 from repro.policy.policy import Policy, PolicySource
@@ -36,7 +40,12 @@ from repro.policy.rule import Rule
 from repro.refinement.engine import RefinementConfig, refine
 from repro.store.durable import copy_to_durable
 from repro.store.store import StoreConfig
-from tests.reference import assert_identical, reference_groups, reference_refine
+from tests.reference import (
+    assert_identical,
+    assert_round_identical,
+    reference_groups,
+    reference_refine,
+)
 
 
 # The ``vocabulary`` fixture comes from conftest (Figure 1 healthcare
@@ -108,6 +117,27 @@ CONFIG_CASES = {
 }
 
 
+def three_shard_round(policy_store, log, vocabulary, miner: str):
+    """Fold the in-process ``map_shard`` partials of ``shards_of(log, 3)``
+    and finish them (no candidate is dropped, so no SON recount)."""
+    task = MapTask(
+        attributes=MiningConfig().attributes,
+        include_denied=False,
+        exclude_suspected=False,
+        collect_regular=False,
+        miner=miner,
+        local_min_support=1,
+    )
+    shards = shards_of(log, 3)
+    assert len(shards) == 3
+    aggregate = TrailAggregate()
+    for shard in shards:
+        aggregate.fold(map_shard(shard, task))
+    return aggregate.finish(
+        policy_store, vocabulary, Grounder(vocabulary), MiningConfig(), miner
+    )
+
+
 # ----------------------------------------------------------------------
 # serial equivalence
 # ----------------------------------------------------------------------
@@ -168,16 +198,14 @@ class TestSerialEquivalence:
 
     def test_parallel_run_is_deterministic(self, policy_store, vocabulary):
         log = build_log()
-        cfg = RefinementConfig(execution=ExecutionPolicy(workers=4, max_shards=8))
         runs = [
-            refine(policy_store, log, vocabulary, cfg, Grounder(vocabulary))
+            three_shard_round(policy_store, log, vocabulary, "sql")
             for _ in range(2)
         ]
-        assert runs[0].patterns == runs[1].patterns
-        assert (
-            runs[0].entry_coverage.uncovered_entries
-            == runs[1].entry_coverage.uncovered_entries
-        )
+        assert runs[0] == runs[1]
+        literal = reference_refine(policy_store, log, vocabulary)
+        for run in runs:
+            assert_round_identical(literal, run, list(log), MiningConfig().attributes)
 
     def test_shared_grounder_masks_stay_comparable(self, policy_store, vocabulary):
         """Prune with one shared grounder across serial + parallel runs."""
@@ -300,22 +328,17 @@ class TestOneKernel:
 
     @pytest.mark.parametrize("miner", [SqlPatternMiner(), AprioriPatternMiner()])
     def test_one_worker_maps_several_shards_in_process(
-        self, miner, policy_store, vocabulary, monkeypatch
+        self, miner, policy_store, vocabulary
     ):
-        from repro.parallel import refine as kernel
-
-        def no_pool(*args):
-            raise AssertionError("one worker must not reach run_sharded")
-
-        monkeypatch.setattr(kernel, "run_sharded", no_pool)
         log = build_log()
-        config = RefinementConfig(
-            miner=miner, execution=ExecutionPolicy(workers=1, max_shards=3)
-        )
-        assert len(shards_of(log, config.execution.shard_limit)) == 3
-        assert_identical(
-            reference_refine(policy_store, log, vocabulary, config),
-            refine(policy_store, log, vocabulary, config),
+        kind = "apriori" if isinstance(miner, AprioriPatternMiner) else "sql"
+        assert_round_identical(
+            reference_refine(
+                policy_store, log, vocabulary, RefinementConfig(miner=miner)
+            ),
+            three_shard_round(policy_store, log, vocabulary, kind),
+            list(log),
+            MiningConfig().attributes,
         )
 
     def test_unknown_classify_scope_rejected_by_config(self):
@@ -400,12 +423,7 @@ class TestDelegation:
     def test_execution_policy_validation(self):
         with pytest.raises(RefinementError):
             ExecutionPolicy(workers=0)
-        with pytest.raises(RefinementError):
-            ExecutionPolicy(workers=2, max_shards=0)
-        assert ExecutionPolicy(workers=4).shard_limit == 4
-        assert ExecutionPolicy(workers=4, max_shards=9).shard_limit == 9
-        assert not ExecutionPolicy().parallel
-        assert ExecutionPolicy(workers=2).parallel
+        assert ExecutionPolicy().workers == 1
 
 
 # ----------------------------------------------------------------------
