@@ -38,7 +38,6 @@ from repro.errors import AccessDeniedError, EnforcementError
 from repro.hdb.auditing import ComplianceAuditor
 from repro.obs.runtime import get_registry
 from repro.hdb.consent import ConsentStore
-from repro.policy.rule import Rule
 from repro.policy.store import PolicyStore
 from repro.sqlmini import ast
 from repro.sqlmini.database import Database
@@ -214,7 +213,9 @@ class ActiveEnforcer:
         role)`` and stamped with ``(policy-store revision, vocabulary
         version)``: mutating either clears the memo before the next
         lookup, so the serve hot path repays repeated decisions without
-        ever reading a stale one.
+        ever reading a stale one.  A miss is one
+        :meth:`~repro.policy.store.PolicyStore.covering_revision` lookup
+        in the store's permit index.
         """
         stamp = (self.policy_store.revision, self.vocabulary.version)
         if stamp != self._permit_stamp:
@@ -222,19 +223,21 @@ class ActiveEnforcer:
                 self.stats.permit_cache_invalidations += 1
                 self._permit_cache.clear()
             self._permit_stamp = stamp
-        key = (canonical(category), canonical(purpose), canonical(role))
-        decision = self._permit_cache.get(key)
+        # callers pass canonical values, so probe with them as given and
+        # canonicalise only when that misses
+        decision = self._permit_cache.get((category, purpose, role))
         if decision is None:
-            request_rule = Rule.of(data=key[0], purpose=key[1], authorized=key[2])
-            decision = (False, None)
-            for rule in self.policy_store:
-                if rule.covers(request_rule, self.vocabulary):
-                    decision = (True, self.policy_store.record_for(rule).revision)
-                    break
-            self._permit_cache[key] = decision
-            self.stats.permit_cache_misses += 1
-        else:
-            self.stats.permit_cache_hits += 1
+            key = (canonical(category), canonical(purpose), canonical(role))
+            decision = self._permit_cache.get(key)
+            if decision is None:
+                revision = self.policy_store.covering_revision(
+                    *key, self.vocabulary
+                )
+                decision = (revision is not None, revision)
+                self._permit_cache[key] = decision
+                self.stats.permit_cache_misses += 1
+                return decision
+        self.stats.permit_cache_hits += 1
         return decision
 
     # ------------------------------------------------------------------

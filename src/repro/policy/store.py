@@ -17,6 +17,11 @@ from dataclasses import dataclass
 from repro.errors import PolicyError
 from repro.policy.policy import Policy, PolicySource
 from repro.policy.rule import Rule
+from repro.vocab.vocabulary import Vocabulary
+
+#: the attributes of a permit-shaped rule, in the rule's canonical
+#: (sorted) term order
+_PERMIT_ATTRIBUTES = ("authorized", "data", "purpose")
 
 
 @dataclass(frozen=True, slots=True)
@@ -56,6 +61,11 @@ class PolicyStore:
         self._records: dict[Rule, RuleRecord] = {}
         self._history: list[StoreEvent] = []
         self._revision = 0
+        # (data, purpose, authorized) -> (store position, revision) of the
+        # permit-shaped active rules, stamped with the revision it was
+        # built at (see covering_revision)
+        self._permit_index: dict[tuple[str, str, str], tuple[int, int]] = {}
+        self._permit_index_stamp = -1
 
     # ------------------------------------------------------------------
     # mutation
@@ -153,6 +163,47 @@ class PolicyStore:
             for record in self._records.values()
             if include_retired or record.active
         )
+
+    def covering_revision(
+        self, data: str, purpose: str, authorized: str, vocabulary: Vocabulary
+    ) -> int | None:
+        """The revision of the first active rule, in store order, that
+        covers the access ``(data) ^ (purpose) ^ (authorized)``; None when
+        no rule does.
+
+        Only a rule of exactly one ``data``, one ``purpose`` and one
+        ``authorized`` term can cover a three-term request (coverage needs
+        equal cardinality and a subsuming term per request term), so
+        those rules are indexed by their three values, and a lookup probes
+        every combination of the request values' lineages: a few dict
+        probes instead of a scan of the store.  The index is rebuilt
+        after any mutation (it is stamped with :attr:`revision`).  A
+        request value unknown to a strict ``vocabulary`` raises
+        :class:`~repro.errors.UnknownTermError`.
+        """
+        if self._permit_index_stamp != self._revision:
+            self._permit_index = self._build_permit_index()
+            self._permit_index_stamp = self._revision
+        index = self._permit_index
+        purposes = vocabulary.lineage("purpose", purpose)
+        roles = vocabulary.lineage("authorized", authorized)
+        best: tuple[int, int] | None = None
+        for category in vocabulary.lineage("data", data):
+            for purpose_value in purposes:
+                for role in roles:
+                    hit = index.get((category, purpose_value, role))
+                    if hit is not None and (best is None or hit < best):
+                        best = hit
+        return None if best is None else best[1]
+
+    def _build_permit_index(self) -> dict[tuple[str, str, str], tuple[int, int]]:
+        index: dict[tuple[str, str, str], tuple[int, int]] = {}
+        for position, record in enumerate(self._records.values()):
+            if not record.active or record.rule.attributes != _PERMIT_ATTRIBUTES:
+                continue
+            authorized, data, purpose = (term.value for term in record.rule.terms)
+            index.setdefault((data, purpose, authorized), (position, record.revision))
+        return index
 
     def policy(self) -> Policy:
         """Snapshot the active rules as a ``P_PS`` policy."""

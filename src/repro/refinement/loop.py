@@ -20,11 +20,12 @@ from repro.audit.log import AuditLog
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.parallel.execution import ExecutionPolicy
     from repro.store.durable import DurableAuditLog
-from repro.coverage.engine import compute_coverage, compute_entry_coverage
+from repro.coverage.engine import compute_coverage, grouped_entry_coverage
 from repro.errors import RefinementError
 from repro.obs.metrics import sample_delta
 from repro.obs.runtime import get_registry
 from repro.policy.grounding import Grounder
+from repro.policy.policy import Policy, PolicySource
 from repro.policy.store import PolicyStore
 from repro.refinement.engine import RefinementConfig, RefinementResult, refine
 from repro.refinement.review import ReviewPolicy
@@ -219,11 +220,36 @@ class RefinementLoop:
         )
 
     def _coverage_after(self, log: "AuditLog | DurableAuditLog") -> tuple[float, float]:
-        grounder = self._grounder
-        policy = self.store.policy()
-        audit_policy = log.to_policy(self.config.mining.attributes)
-        set_report = compute_coverage(policy, audit_policy, self.vocabulary, grounder)
-        entry_report = compute_entry_coverage(
-            policy, iter(audit_policy), self.vocabulary, grounder
+        """Set and entry coverage of the amended store over ``log``,
+        computed on the log's distinct rule keys: each is lifted and
+        grounded once, and entry coverage merges the positions of the
+        uncovered ones."""
+        # imported here, as refine() does, so importing the loop does not
+        # pull in the process pool
+        from repro.parallel.partials import key_of
+
+        attributes = self.config.mining.attributes
+        key = key_of(attributes)
+        positions: dict[tuple[str, ...], list[int]] = {}
+        for index, entry in enumerate(log):
+            positions.setdefault(key(entry), []).append(index)
+        lifted = self._grounder.lift(attributes, positions)
+        audit_policy = Policy(
+            (rule for rule, _ in lifted.values()),
+            source=PolicySource.AUDIT_LOG,
+            name=f"P_AL({log.name})",
+        )
+        set_report = compute_coverage(
+            self.store.policy(), audit_policy, self.vocabulary, self._grounder
+        )
+        covering = set_report.covering.mask
+        entry_report = grouped_entry_coverage(
+            set_report.covering,
+            (
+                positions[values]
+                for values, (_, mask) in lifted.items()
+                if mask & ~covering
+            ),
+            sum(map(len, positions.values())),
         )
         return set_report.ratio, entry_report.ratio

@@ -27,7 +27,6 @@ from repro.audit.schema import AccessOp, AccessStatus
 from repro.errors import AccessDeniedError, EnforcementError
 from repro.hdb.auditing import ComplianceAuditor
 from repro.hdb.consent import ConsentStore
-from repro.policy.rule import Rule
 from repro.policy.store import PolicyStore
 from repro.treestore.node import TreeDocument, TreeNode
 from repro.treestore.path import PathExpression, compile_path
@@ -140,9 +139,11 @@ class TreeEnforcer:
     # ------------------------------------------------------------------
     def policy_permits(self, category: str, purpose: str, role: str) -> bool:
         """Does any active store rule cover this concrete access?"""
-        request = Rule.of(data=category, purpose=purpose, authorized=role)
-        return any(
-            rule.covers(request, self.vocabulary) for rule in self.policy_store
+        return (
+            self.policy_store.covering_revision(
+                category, purpose, role, self.vocabulary
+            )
+            is not None
         )
 
     def retrieve(

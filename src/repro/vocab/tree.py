@@ -60,6 +60,8 @@ class VocabularyTree:
         self._parent: dict[str, str | None] = {self.root: None}
         self._children: dict[str, list[str]] = {self.root: []}
         self._version = 0
+        # node -> (node, parent, ..., root), filled by lineage()
+        self._lineages: dict[str, tuple[str, ...]] = {}
 
     @property
     def version(self) -> int:
@@ -93,6 +95,7 @@ class VocabularyTree:
         self._children[node] = []
         self._children[parent_node].append(node)
         self._version += 1
+        self._lineages.clear()
         return node
 
     def add_branch(self, parent: str, values: list[str] | tuple[str, ...]) -> list[str]:
@@ -114,6 +117,11 @@ class VocabularyTree:
             return canonical(value) in self._parent
         except VocabularyError:
             return False
+
+    def has_node(self, node: str) -> bool:
+        """True iff ``node`` is a node of the tree as spelled, without
+        canonicalising it (nodes are canonical, so a hit needs none)."""
+        return node in self._parent
 
     def __len__(self) -> int:
         return len(self._parent)
@@ -167,15 +175,26 @@ class VocabularyTree:
                 found.append(node)
         return tuple(found)
 
+    def lineage(self, value: str) -> tuple[str, ...]:
+        """Return ``value`` followed by its ancestors up to the root.
+
+        Memoised per node until the next :meth:`add`; a value that is
+        already a node is answered without canonicalising it.
+        """
+        found = self._lineages.get(value)
+        if found is None:
+            node = self._require(value)
+            chain = [node]
+            parent = self._parent[node]
+            while parent is not None:
+                chain.append(parent)
+                parent = self._parent[parent]
+            found = self._lineages[node] = tuple(chain)
+        return found
+
     def ancestors(self, value: str) -> tuple[str, ...]:
         """Return the ancestors of ``value`` from parent up to the root."""
-        node = self._require(value)
-        chain: list[str] = []
-        parent = self._parent[node]
-        while parent is not None:
-            chain.append(parent)
-            parent = self._parent[parent]
-        return tuple(chain)
+        return self.lineage(value)[1:]
 
     def depth(self, value: str) -> int:
         """Return the depth of ``value`` (the root has depth 0)."""
@@ -188,10 +207,7 @@ class VocabularyTree:
         term derivable from it.
         """
         top = self._require(ancestor)
-        bottom = self._require(descendant)
-        if top == bottom:
-            return True
-        return top in self.ancestors(bottom)
+        return top in self.lineage(descendant)
 
     def height(self) -> int:
         """Return the height of the tree (a lone root has height 0)."""

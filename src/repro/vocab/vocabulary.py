@@ -106,9 +106,13 @@ class Vocabulary:
 
     def _resolve(self, attribute: str, value: str) -> tuple[VocabularyTree | None, str]:
         """Return ``(tree, canonical_value)``, enforcing strictness."""
-        tree = self._trees.get(canonical(attribute))
+        tree = self._trees.get(attribute)
+        if tree is None:
+            tree = self._trees.get(canonical(attribute))
+        elif tree.has_node(value):
+            return tree, value
         node = canonical(value)
-        if tree is not None and node not in tree:
+        if tree is not None and not tree.has_node(node):
             if self.strict:
                 raise UnknownTermError(tree.attribute, node)
             return None, node
@@ -137,16 +141,28 @@ class Vocabulary:
             return (node,)
         return tree.leaves_under(node)
 
+    def lineage(self, attribute: str, value: str) -> tuple[str, ...]:
+        """Return the canonical ``value`` followed by its ancestors up to
+        the root of ``attribute``'s tree.
+
+        A flat attribute, or a value the tree does not know (non-strict
+        mode), has the lineage ``(value,)``; in strict mode an unknown
+        value raises :class:`~repro.errors.UnknownTermError`.  The values
+        that subsume ``value`` are exactly the members of the result, so
+        subsumption is one membership test.
+        """
+        tree, node = self._resolve(attribute, value)
+        if tree is None:
+            return (node,)
+        return tree.lineage(node)
+
     def subsumes(self, attribute: str, ancestor: str, descendant: str) -> bool:
         """True iff ``ancestor`` covers ``descendant`` for ``attribute``.
 
         Flat attributes subsume only on equality.
         """
-        tree, top = self._resolve(attribute, ancestor)
-        _, bottom = self._resolve(attribute, descendant)
-        if tree is None or bottom not in tree:
-            return top == bottom
-        return tree.subsumes(top, bottom)
+        _, top = self._resolve(attribute, ancestor)
+        return top in self.lineage(attribute, descendant)
 
     def overlap(self, attribute: str, value_a: str, value_b: str) -> bool:
         """True iff the ground sets of the two values intersect.

@@ -17,6 +17,11 @@ holds the two equal.
 :func:`reference_groups` is the Algorithm 5 GROUP BY state built the
 obvious way, one entry at a time, for the partial-aggregate algebra
 tests.
+
+:func:`reference_permit` is the permit check as a scan: the first active
+store rule whose ``Rule.covers`` accepts the three-term request.  The
+enforcers answer through the store's permit index instead;
+``tests/test_properties_permit_index.py`` holds the two equal.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from repro.coverage.engine import compute_coverage, compute_entry_coverage
 from repro.errors import AuditError, StoreError
 from repro.mining.sql_patterns import SqlPatternMiner
 from repro.policy.grounding import Grounder
+from repro.policy.rule import Rule
 from repro.refinement.engine import RefinementConfig, RefinementResult
 from repro.refinement.filtering import filter_practice
 from repro.refinement.prune import prune_patterns
@@ -81,6 +87,18 @@ def reference_groups(entries, attributes: tuple[str, ...]) -> dict:
         slot[0] += 1
         slot[1].add(entry.user)
     return groups
+
+
+def reference_permit(
+    store, vocabulary, category: str, purpose: str, role: str
+) -> tuple[bool, int | None]:
+    """``(permitted, revision of the first covering rule)`` by scanning
+    the store's active rules in order."""
+    request = Rule.of(data=category, purpose=purpose, authorized=role)
+    for rule in store:
+        if rule.covers(request, vocabulary):
+            return True, store.record_for(rule).revision
+    return False, None
 
 
 def reference_refine(
