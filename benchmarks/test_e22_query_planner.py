@@ -9,7 +9,8 @@ DESIGN.md §15 commits the sqlmini planner to two promises:
 2. **The miner's grouped scan got faster** — the Algorithm 5
    ``GROUP BY / HAVING`` statement through the compiled plan executor
    measurably outruns the pre-planner baseline (the preserved
-   nested-loop, dict-environment :class:`ReferenceExecutor`), with
+   nested-loop, dict-environment ``ReferenceExecutor`` in
+   ``tests/reference_sql.py``), with
    byte-identical result rows, so ``refine()`` is faster for free.
 
 Knobs: ``E22_ROWS`` (default 100000; the 10× floor is enforced only at
@@ -33,7 +34,7 @@ from repro.mining.patterns import MiningConfig
 from repro.mining.sql_patterns import build_analysis_sql
 from repro.sqlmini.database import Database
 from repro.sqlmini.parser import parse
-from repro.sqlmini.reference import ReferenceExecutor
+from tests.reference_sql import ReferenceExecutor
 
 _ROWS = int(os.environ.get("E22_ROWS", "100000"))
 _REPEATS = int(os.environ.get("E22_REPEATS", "5"))

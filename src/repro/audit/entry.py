@@ -60,36 +60,30 @@ class AuditEntry:
             )
 
     @classmethod
-    def _from_checked(
-        cls,
-        time: int,
-        op: AccessOp,
-        user: str,
-        data: str,
-        purpose: str,
-        authorized: str,
-        status: AccessStatus,
-        truth: str,
-    ) -> "AuditEntry":
+    def _from_checked(cls, time: int, fields: tuple) -> "AuditEntry":
         """Build an entry whose fields already hold what ``__post_init__``
         would store, without running it again.
 
-        The caller vouches for the invariant: ``time`` is non-negative,
-        ``op``/``status`` are enum members, and the four attributes came
-        out of :func:`canonical_field`.  Only the store codec uses this,
-        for records the store wrote and CRC-checked; every external input
-        goes through the validating constructor.
+        ``fields`` is ``(op, user, data, purpose, authorized, status,
+        truth)``, the entry's fields after ``time`` in the record payload's
+        order.  The caller vouches for the invariant: ``time`` is
+        non-negative, ``op``/``status`` are enum members, and the four
+        attributes came out of :func:`canonical_field`.  Only the store
+        codec uses this, for records the store wrote and CRC-checked;
+        every external input goes through the validating constructor.
+        The fields are set through the slot descriptors, which bypass the
+        frozen ``__setattr__`` without the ``object.__setattr__`` lookup.
         """
-        entry = object.__new__(cls)
-        set_field = object.__setattr__
-        set_field(entry, "time", time)
-        set_field(entry, "op", op)
-        set_field(entry, "user", user)
-        set_field(entry, "data", data)
-        set_field(entry, "purpose", purpose)
-        set_field(entry, "authorized", authorized)
-        set_field(entry, "status", status)
-        set_field(entry, "truth", truth)
+        entry = _new(cls)
+        op, user, data, purpose, authorized, status, truth = fields
+        _set_time(entry, time)
+        _set_op(entry, op)
+        _set_user(entry, user)
+        _set_data(entry, data)
+        _set_purpose(entry, purpose)
+        _set_authorized(entry, authorized)
+        _set_status(entry, status)
+        _set_truth(entry, truth)
         return entry
 
     # ------------------------------------------------------------------
@@ -176,3 +170,15 @@ class AuditEntry:
     def with_truth(self, truth: str) -> "AuditEntry":
         """Copy of this entry with the evaluation-only truth label set."""
         return replace(self, truth=truth)
+
+
+#: What ``AuditEntry._from_checked`` builds with: a bare instance and
+#: one slot-descriptor setter per field.
+_new = object.__new__
+(
+    _set_time, _set_op, _set_user, _set_data,
+    _set_purpose, _set_authorized, _set_status, _set_truth,
+) = (
+    AuditEntry.__dict__[name].__set__
+    for name in ("time", "op", "user", "data", "purpose", "authorized", "status", "truth")
+)

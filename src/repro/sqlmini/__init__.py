@@ -12,8 +12,7 @@ Queries run through a plan-DAG pipeline — parse, bind (canonicalizing
 names), lower to a logical plan, optimize (predicate pushdown, secondary
 index routing, join reordering) and execute compiled plans.  ``CREATE
 [HASH|ORDERED] INDEX`` declares secondary indexes; ``Database.explain``
-renders the optimized plan.  :class:`ReferenceExecutor` preserves the
-original nested-loop strategy as the differential-testing oracle.
+renders the optimized plan.
 
 Public surface: :class:`Database`, :class:`ResultSet`, the schema types,
 :func:`parse` for tooling that wants raw ASTs, and the plan/:mod:`index
@@ -36,7 +35,6 @@ from repro.sqlmini.optimizer import build_plan
 from repro.sqlmini.parser import parse, parse_expression
 from repro.sqlmini.plan import render_plan, walk_plan
 from repro.sqlmini.planner import bind_select
-from repro.sqlmini.reference import ReferenceExecutor
 from repro.sqlmini.schema import Column, TableSchema
 from repro.sqlmini.table import Table, ViewTable
 from repro.sqlmini.types import SqlType
@@ -46,7 +44,6 @@ __all__ = [
     "Database",
     "HashIndex",
     "OrderedIndex",
-    "ReferenceExecutor",
     "ResultSet",
     "SqlCatalogError",
     "SqlError",

@@ -36,7 +36,7 @@ from pathlib import Path
 from repro.audit.entry import AuditEntry
 from repro.errors import AuditError, StoreError
 from repro.obs.runtime import get_registry
-from repro.store.codec import HEADER_SIZE, SEGMENT_HEADER
+from repro.store.codec import HEADER_SIZE, SEGMENT_HEADER, RecordMemo
 from repro.store.index import (
     DEFAULT_TIME_STRIDE,
     INDEXED_ATTRIBUTES,
@@ -592,18 +592,18 @@ class AuditStore:
             offsets = matching_offsets(index)
             if not offsets:
                 continue
-            strings: dict[bytes, str] = {}
+            memo = RecordMemo()
             with (self.directory / meta.name).open("rb") as handle:
                 for offset in offsets:
-                    yield read_record_at(handle, offset, strings)
+                    yield read_record_at(handle, offset, memo)
         offsets = matching_offsets(self._builder.index)
         if offsets:
             if not self._closed:
                 self._writer.flush(sync=False)
-            strings = {}
+            memo = RecordMemo()
             with self._writer.path.open("rb") as handle:
                 for offset in offsets:
-                    yield read_record_at(handle, offset, strings)
+                    yield read_record_at(handle, offset, memo)
 
     def tail(self, count: int) -> tuple[AuditEntry, ...]:
         """The last ``count`` entries, scanning newest segments first."""

@@ -11,7 +11,7 @@ with one ``TrailAggregate.finish``.
 
 :func:`reference_decode` is the store codec's validating decode: every
 record goes through the ``AuditEntry`` constructor.  The codec decodes
-through a per-segment field memo instead; ``tests/test_store_codec.py``
+through a per-segment record memo instead; ``tests/test_store_codec.py``
 holds the two equal.
 
 :func:`reference_groups` is the Algorithm 5 GROUP BY state built the
@@ -45,7 +45,7 @@ _STRLEN = struct.Struct("<I")
 
 def reference_decode(payload: bytes) -> AuditEntry:
     """Rebuild an entry from payload bytes through the validating
-    constructor (the codec's ``decode_payload`` before its field memo)."""
+    constructor (the codec's ``decode_payload`` before its memos)."""
     try:
         time, op, status = _FIXED.unpack_from(payload, 0)
         offset = _FIXED.size

@@ -3,7 +3,7 @@
 Hypothesis generates random tables, index configurations and queries;
 every query runs through both the optimizing plan-DAG executor
 (:class:`~repro.sqlmini.executor.Executor`, via ``Database.query``) and
-the brute-force :class:`~repro.sqlmini.reference.ReferenceExecutor`.
+the brute-force ``ReferenceExecutor`` in ``tests/reference_sql.py``.
 
 The contract being checked is the one the optimizer promises:
 
@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 from repro.sqlmini.database import Database
 from repro.sqlmini.parser import parse
-from repro.sqlmini.reference import ReferenceExecutor
+from tests.reference_sql import ReferenceExecutor
 
 names = st.sampled_from(["ann", "bob", "cid", "dee"])
 groups = st.one_of(st.none(), st.sampled_from(["er", "icu", "lab"]))
