@@ -94,13 +94,11 @@ from repro.obs.exposition import (
 )
 from repro.obs.logsetup import configure_logging
 from repro.obs.runtime import get_registry
-from repro.mining.apriori import AprioriPatternMiner
 from repro.mining.patterns import MiningConfig
-from repro.mining.sql_patterns import SqlPatternMiner
 from repro.mining.temporal import hour_extractor, mine_temporal_patterns
 from repro.policy.parser import format_rule, parse_policy
 from repro.policy.policy import Policy
-from repro.refinement.engine import RefinementConfig, refine
+from repro.refinement.engine import MINERS, RefinementConfig, refine
 from repro.refinement.filtering import filter_practice
 from repro.vocab import io as vocab_io
 from repro.vocab.builtin import healthcare_vocabulary
@@ -166,7 +164,7 @@ def _build_parser() -> argparse.ArgumentParser:
                             help="the paper's f threshold (inclusive, default 5)")
     refine_cmd.add_argument("--min-users", type=int, default=2,
                             help="distinct users required (default 2)")
-    refine_cmd.add_argument("--miner", choices=("sql", "apriori"), default="sql")
+    refine_cmd.add_argument("--miner", choices=MINERS, default="sql")
     refine_cmd.add_argument("--screen-violations", action="store_true",
                             help="drop suspected violations before mining")
     refine_cmd.add_argument("--temporal", action="store_true",
@@ -633,7 +631,7 @@ def _cmd_refine(arguments: argparse.Namespace) -> int:
             min_support=arguments.min_support,
             min_distinct_users=arguments.min_users,
         ),
-        miner=AprioriPatternMiner() if arguments.miner == "apriori" else SqlPatternMiner(),
+        miner=arguments.miner,
         exclude_suspected_violations=arguments.screen_violations,
         execution=execution,
     )
@@ -752,27 +750,24 @@ def _cmd_triage(arguments: argparse.Namespace) -> int:
         mine_template_weights,
         triage_patterns,
     )
-    from repro.policy.grounding import Grounder
-    from repro.refinement.extract import extract_patterns
-    from repro.refinement.prune import prune_patterns
 
     bundle = load_corpus(arguments.corpus)
     context = ExplanationContext(bundle.state, bundle.log)
     weights = mine_template_weights(bundle.log, context)
     index = build_index(bundle.log, context, weights)
-    patterns = extract_patterns(
-        filter_practice(bundle.log),
-        MiningConfig(
-            min_support=arguments.min_support,
-            min_distinct_users=arguments.min_users,
+    result = refine(
+        bundle.store.policy(),
+        bundle.log,
+        bundle.vocabulary,
+        RefinementConfig(
+            mining=MiningConfig(
+                min_support=arguments.min_support,
+                min_distinct_users=arguments.min_users,
+            )
         ),
     )
-    prune = prune_patterns(
-        patterns, bundle.store.policy(), bundle.vocabulary,
-        Grounder(bundle.vocabulary),
-    )
     report = triage_patterns(
-        prune.useful,
+        result.useful_patterns,
         index,
         TriageThresholds(
             auto_accept=arguments.auto_accept,

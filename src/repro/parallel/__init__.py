@@ -18,18 +18,17 @@ split of the log:
   grounder, so every mask stays comparable.  The refinement daemon and
   the fleet daemon keep the same aggregate across polls.
 
-:func:`repro.refinement.engine.refine` runs this kernel for the built-in
-miners at every worker count: one worker maps the trail in-process as a
+:func:`repro.refinement.engine.refine` runs this kernel for both miners
+at every worker count: one worker maps the trail in-process as a
 single shard, ``RefinementConfig(execution=ExecutionPolicy(workers=N))``
 maps N shards on a process pool.  The result is *byte-identical* to the
 paper's literal pipeline over the same log, because every fold is over
-exact counts and the final ordering is re-applied globally.  Custom
-miners run the literal pipeline; a process pool the platform refuses to
-give us falls back to in-process mapping.
+exact counts and the final ordering is re-applied globally.  A process
+pool the platform refuses to give us falls back to in-process mapping.
 """
 
 from repro.parallel.execution import ExecutionPolicy
-from repro.parallel.refine import parallel_refine, supports_parallel_miner
+from repro.parallel.refine import parallel_refine
 from repro.parallel.shards import Shard, iter_shard, shards_of
 
 __all__ = [
@@ -38,5 +37,4 @@ __all__ = [
     "iter_shard",
     "parallel_refine",
     "shards_of",
-    "supports_parallel_miner",
 ]

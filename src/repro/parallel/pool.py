@@ -34,8 +34,8 @@ def run_sharded(
 ) -> tuple[list, str]:
     """Run ``worker(shard, task)`` for every shard; results in shard
     order.  Returns ``(results, mode)`` where mode says whether a pool
-    was actually used."""
-    if workers <= 1 or len(shards) <= 1:
+    was actually used: a single shard maps here, as ``"serial"``."""
+    if len(shards) <= 1:
         return map_in_process(worker, shards, task)
     try:
         with ProcessPoolExecutor(max_workers=min(workers, len(shards))) as pool:

@@ -1,11 +1,12 @@
 """The refinement kernel: shard → map → fold → finish.
 
-:func:`parallel_refine` runs Algorithm 2 for the built-in miners at
-every worker count: one worker maps the trail in-process as one shard,
-more map one shard each on a process pool.  The partials fold into one
-:class:`TrailAggregate`, whose :meth:`~TrailAggregate.finish` runs the
-rest of the round.  The refinement daemon keeps the same aggregate
-across polls and finishes it at each mining round.
+:func:`parallel_refine` runs Algorithm 2 for both miners (``"sql"`` and
+``"apriori"``) at every worker count: one worker maps the trail
+in-process as one shard, more map one shard each on a process pool.
+The partials fold into one :class:`TrailAggregate`, whose
+:meth:`~TrailAggregate.finish` runs the rest of the round.  The
+refinement daemon keeps the same aggregate across polls and finishes
+it at each mining round.
 
 The result equals the paper's literal pipeline (the test oracle) because
 partials are exact (counts add, user sets union), the global thresholds
@@ -33,13 +34,8 @@ from repro.coverage.engine import (
     grouped_entry_coverage,
 )
 from repro.errors import RefinementError
-from repro.mining.apriori import AprioriPatternMiner
 from repro.mining.patterns import MiningConfig, Pattern, apriori_pattern_order
-from repro.mining.sql_patterns import (
-    SqlPatternMiner,
-    finalize_patterns,
-    fold_groups,
-)
+from repro.mining.sql_patterns import finalize_patterns, fold_groups
 from repro.obs.metrics import CARDINALITY_BUCKETS
 from repro.obs.runtime import get_registry
 from repro.parallel.partials import (
@@ -56,11 +52,7 @@ from repro.parallel.shards import shards_of
 from repro.policy.grounding import Grounder, grounder_for
 from repro.policy.policy import Policy, PolicySource
 from repro.policy.rule import Rule
-from repro.refinement.engine import (
-    RefinementConfig,
-    RefinementResult,
-    finish_refinement,
-)
+from repro.refinement.engine import RefinementConfig, RefinementResult
 from repro.refinement.prune import PruneResult, prune_patterns
 from repro.vocab.vocabulary import Vocabulary
 
@@ -218,27 +210,6 @@ class TrailAggregate:
         )
 
 
-def supports_parallel_miner(miner) -> bool:
-    """Can the map phase partially aggregate for this miner?
-
-    ``None`` (the engine default) and the two built-in miners are
-    supported; an arbitrary ``PatternMiner`` implementation has no
-    partial-aggregate form, so the engine runs the literal pipeline.
-    """
-    return miner is None or isinstance(miner, (SqlPatternMiner, AprioriPatternMiner))
-
-
-def _miner_kind(miner) -> str:
-    if miner is None or isinstance(miner, SqlPatternMiner):
-        return "sql"
-    if isinstance(miner, AprioriPatternMiner):
-        return "apriori"
-    raise RefinementError(
-        f"parallel refinement supports the built-in miners, not "
-        f"{type(miner).__name__}; run serially for custom miners"
-    )
-
-
 def _map(worker, shards, task, workers: int) -> tuple[list, str]:
     """One worker maps in-process; more fan out over :func:`run_sharded`."""
     if workers == 1:
@@ -264,14 +235,13 @@ def parallel_refine(
 ) -> RefinementResult:
     """Algorithm 2 as shard → map → fold → finish.
 
-    Accepts exactly what :func:`repro.refinement.engine.refine` accepts
-    for a built-in miner; ``config.execution`` sets the worker count
-    (default one).  Returns the literal pipeline's
-    :class:`~repro.refinement.engine.RefinementResult`.
+    Accepts exactly what :func:`repro.refinement.engine.refine` accepts;
+    ``config.execution`` sets the worker count (default one).  Returns
+    the literal pipeline's :class:`~repro.refinement.engine.RefinementResult`.
     """
     cfg = config or RefinementConfig()
     workers = cfg.execution.workers if cfg.execution is not None else 1
-    kind = _miner_kind(cfg.miner)
+    miner = cfg.miner
     grounder = grounder_for(vocabulary, grounder)
     attributes = cfg.mining.attributes
     screened = cfg.exclude_suspected_violations
@@ -286,7 +256,7 @@ def parallel_refine(
             include_denied=cfg.include_denied,
             exclude_suspected=screened,
             collect_regular=screened and cfg.classify_scope == "log",
-            miner=kind,
+            miner=miner,
             local_min_support=max(
                 1, -(-cfg.mining.min_support // max(1, len(shards)))
             ),
@@ -297,7 +267,7 @@ def parallel_refine(
     if total == 0:
         raise RefinementError("cannot refine against an empty audit log")
     if reg.enabled:
-        reg.counter("repro_parallel_runs_total", mode=mode, miner=kind).inc()
+        reg.counter("repro_parallel_runs_total", mode=mode, miner=miner).inc()
         reg.counter("repro_parallel_shards_total").inc(len(shards))
         sizes = reg.histogram(
             "repro_parallel_shard_entries", buckets=CARDINALITY_BUCKETS
@@ -315,7 +285,7 @@ def parallel_refine(
     aggregate = TrailAggregate()
     for partial in partials:
         aggregate.fold(partial)
-    if kind == "apriori" and aggregate.groups:
+    if miner == "apriori" and aggregate.groups:
         suspected = aggregate.suspected(classifier) if screened else frozenset()
         if len(shards) > 1 or suspected:
             # SON phase 2: exactly recount the locally frequent candidates
@@ -331,7 +301,7 @@ def parallel_refine(
                     {}, *(part.counts for part in counts)
                 )
     trail = aggregate.finish(
-        policy_store, vocabulary, grounder, cfg.mining, kind, classifier, name
+        policy_store, vocabulary, grounder, cfg.mining, miner, classifier, name
     )
     del aggregate  # free the folded groups before the positions merge peaks
     # the aggregate keeps counts; the uncovered entries' indices come
@@ -373,6 +343,22 @@ def parallel_refine(
 
     practice = practice_source.where(_is_practice)
     practice.name = f"{name}.practice"
-    return finish_refinement(
-        practice, trail.patterns, trail.prune, trail.coverage, entry_coverage
+    if reg.enabled:
+        reg.counter("repro_refinement_runs_total").inc()
+        reg.counter("repro_refinement_patterns_mined_total").inc(
+            len(trail.patterns)
+        )
+        reg.counter("repro_refinement_patterns_useful_total").inc(
+            len(trail.prune.useful)
+        )
+        reg.counter("repro_refinement_patterns_pruned_total").inc(
+            len(trail.prune.pruned)
+        )
+    return RefinementResult(
+        practice=practice,
+        patterns=trail.patterns,
+        useful_patterns=trail.prune.useful,
+        pruned_patterns=trail.prune.pruned,
+        coverage=trail.coverage,
+        entry_coverage=entry_coverage,
     )

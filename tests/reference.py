@@ -1,11 +1,11 @@
 """The literal Algorithm 2 pipeline: the oracle for ``refine()``.
 
-``refine()`` runs the built-in miners through the one shard → map →
-merge kernel.  :func:`reference_refine` runs the paper's pipeline
-step by step instead — lift the log for coverage, Filter, the miner's
-own ``mine`` (for the default miner, the Algorithm 5 SQL statement on a
-sqlmini copy), Prune — sharing none of the kernel's fold or finish
-code.  The identity suites, E2 and E17 compare the two with
+``refine()`` always runs the one shard → map → fold → finish kernel.
+:func:`reference_refine` runs the paper's pipeline step by step instead
+— lift the log for coverage, Filter, the named miner's own ``mine``
+(for the default ``"sql"``, the Algorithm 5 SQL statement on a sqlmini
+copy), Prune — sharing none of the kernel's fold or finish code.  The
+identity suites, E2 and E17 compare the two with
 :func:`assert_identical`; :func:`assert_round_identical` compares it
 with one ``TrailAggregate.finish``.
 
@@ -32,12 +32,16 @@ from repro.audit.entry import AuditEntry
 from repro.audit.schema import AccessOp, AccessStatus
 from repro.coverage.engine import compute_coverage, compute_entry_coverage
 from repro.errors import AuditError, StoreError
+from repro.mining.apriori import AprioriPatternMiner
 from repro.mining.sql_patterns import SqlPatternMiner
 from repro.policy.grounding import Grounder
 from repro.policy.rule import Rule
 from repro.refinement.engine import RefinementConfig, RefinementResult
 from repro.refinement.filtering import filter_practice
 from repro.refinement.prune import prune_patterns
+
+#: each of ``refine()``'s miner names -> the literal miner it stands for
+MINER_OBJECTS = {"sql": SqlPatternMiner, "apriori": AprioriPatternMiner}
 
 _FIXED = struct.Struct("<QBB")
 _STRLEN = struct.Struct("<I")
@@ -116,7 +120,7 @@ def reference_refine(
         classifier_config=cfg.classifier,
         classify_scope=cfg.classify_scope,
     )
-    patterns = (cfg.miner or SqlPatternMiner()).mine(practice, cfg.mining)
+    patterns = MINER_OBJECTS[cfg.miner]().mine(practice, cfg.mining)
     pruned = prune_patterns(patterns, policy_store, vocabulary, grounder)
     entry_coverage = compute_entry_coverage(
         policy_store, iter(audit_policy), vocabulary, grounder

@@ -110,6 +110,52 @@ class TestRefineCommand:
         assert "WHEN HOUR IN" in out
 
 
+class TestTriageCommand:
+    @pytest.fixture(scope="class")
+    def corpus_dir(self, tmp_path_factory):
+        directory = tmp_path_factory.mktemp("triage") / "corpus"
+        assert main(
+            ["corpus", "generate", "--out", str(directory), "--departments", "3",
+             "--patients", "50", "--rounds", "1", "--accesses", "1500",
+             "--protocol-rules", "10"]
+        ) == 0
+        return directory
+
+    @pytest.mark.parametrize("support,users", [(5, 2), (3, 1), (10, 3)])
+    def test_ranks_exactly_the_reference_useful_patterns(
+        self, capsys, tmp_path, corpus_dir, support, users
+    ):
+        import json
+
+        from repro.corpus import load_corpus
+        from repro.mining.patterns import MiningConfig
+        from repro.policy.parser import format_rule
+        from repro.refinement.engine import RefinementConfig
+        from tests.reference import reference_refine
+
+        report = tmp_path / "triage.json"
+        assert main(
+            ["triage", "--corpus", str(corpus_dir), "--min-support", str(support),
+             "--min-users", str(users), "--json", str(report)]
+        ) == 0
+        capsys.readouterr()
+        listed = [
+            (item["rule"], item["support"], item["distinct_users"])
+            for item in json.loads(report.read_text())["candidates"]
+        ]
+        bundle = load_corpus(corpus_dir)
+        expected = reference_refine(
+            bundle.store.policy(), bundle.log, bundle.vocabulary,
+            RefinementConfig(
+                mining=MiningConfig(min_support=support, min_distinct_users=users)
+            ),
+        ).useful_patterns
+        assert expected
+        assert sorted(listed) == sorted(
+            (format_rule(p.rule), p.support, p.distinct_users) for p in expected
+        )
+
+
 class TestReportCommand:
     def test_full_report(self, capsys, store_file, log_file):
         assert main(

@@ -18,7 +18,6 @@ from repro.audit.classify import ClassifierConfig
 from repro.audit.log import AuditLog, make_entry
 from repro.audit.schema import AccessStatus
 from repro.errors import RefinementError
-from repro.mining.apriori import AprioriPatternMiner
 from repro.mining.patterns import MiningConfig
 from repro.mining.sql_patterns import (
     SqlPatternMiner,
@@ -28,11 +27,7 @@ from repro.mining.sql_patterns import (
 from repro.parallel.execution import ExecutionPolicy
 from repro.parallel.partials import MapTask, map_shard
 from repro.parallel.pool import run_sharded
-from repro.parallel.refine import (
-    TrailAggregate,
-    parallel_refine,
-    supports_parallel_miner,
-)
+from repro.parallel.refine import TrailAggregate, parallel_refine
 from repro.parallel.shards import Shard, iter_shard, shards_of
 from repro.policy.grounding import Grounder
 from repro.policy.policy import Policy, PolicySource
@@ -109,12 +104,15 @@ CONFIG_CASES = {
         "classify_scope": "practice",
     },
     "sql-denied": {"include_denied": True},
-    "apriori": {"miner": AprioriPatternMiner()},
+    "apriori": {"miner": "apriori"},
     "apriori-screened": {
-        "miner": AprioriPatternMiner(),
+        "miner": "apriori",
         "exclude_suspected_violations": True,
     },
 }
+
+# both miners; the ids are part of the suite's recorded test names
+MINER_CASES = [pytest.param("sql", id="miner0"), pytest.param("apriori", id="miner1")]
 
 
 def three_shard_round(policy_store, log, vocabulary, miner: str):
@@ -302,7 +300,7 @@ class TestOneKernel:
         finally:
             durable.close()
 
-    @pytest.mark.parametrize("miner", [SqlPatternMiner(), AprioriPatternMiner()])
+    @pytest.mark.parametrize("miner", MINER_CASES)
     @pytest.mark.parametrize("workers", [1, 2])
     def test_screening_drops_a_frequent_suspected_rule(
         self, miner, workers, policy_store, vocabulary
@@ -326,17 +324,16 @@ class TestOneKernel:
         assert [str(p.rule.value_of("data")) for p in literal.patterns] == ["referral"]
         assert_identical(literal, refine(policy_store, log, vocabulary, config))
 
-    @pytest.mark.parametrize("miner", [SqlPatternMiner(), AprioriPatternMiner()])
+    @pytest.mark.parametrize("miner", MINER_CASES)
     def test_one_worker_maps_several_shards_in_process(
         self, miner, policy_store, vocabulary
     ):
         log = build_log()
-        kind = "apriori" if isinstance(miner, AprioriPatternMiner) else "sql"
         assert_round_identical(
             reference_refine(
                 policy_store, log, vocabulary, RefinementConfig(miner=miner)
             ),
-            three_shard_round(policy_store, log, vocabulary, kind),
+            three_shard_round(policy_store, log, vocabulary, miner),
             list(log),
             MiningConfig().attributes,
         )
@@ -366,19 +363,8 @@ class TestOneKernel:
 
 
 # ----------------------------------------------------------------------
-# fallbacks and delegation
+# delegation
 # ----------------------------------------------------------------------
-class _RecordingMiner:
-    """A custom miner the parallel layer cannot decompose."""
-
-    def __init__(self):
-        self.calls = 0
-
-    def mine(self, log, config):
-        self.calls += 1
-        return SqlPatternMiner().mine(log, config)
-
-
 class TestDelegation:
     def test_workers_1_stays_serial(self, policy_store, vocabulary):
         log = build_log(100)
@@ -387,31 +373,6 @@ class TestDelegation:
             RefinementConfig(execution=ExecutionPolicy(workers=1)),
         )
         assert isinstance(result.practice, AuditLog)
-
-    def test_custom_miner_falls_back_to_serial(self, policy_store, vocabulary):
-        log = build_log(100)
-        miner = _RecordingMiner()
-        result = refine(
-            policy_store, log, vocabulary,
-            RefinementConfig(miner=miner, execution=ExecutionPolicy(workers=4)),
-        )
-        assert miner.calls == 1  # the serial pipeline actually ran it
-        assert result.patterns
-
-    def test_supports_parallel_miner(self):
-        assert supports_parallel_miner(None)
-        assert supports_parallel_miner(SqlPatternMiner())
-        assert supports_parallel_miner(AprioriPatternMiner())
-        assert not supports_parallel_miner(_RecordingMiner())
-
-    def test_parallel_refine_rejects_custom_miner(self, policy_store, vocabulary):
-        with pytest.raises(RefinementError):
-            parallel_refine(
-                policy_store, build_log(50), vocabulary,
-                RefinementConfig(
-                    miner=_RecordingMiner(), execution=ExecutionPolicy(workers=2)
-                ),
-            )
 
     def test_empty_log_raises(self, policy_store, vocabulary):
         with pytest.raises(RefinementError):
@@ -564,15 +525,19 @@ class TestPartialAggregates:
 # ----------------------------------------------------------------------
 class TestPool:
     def test_serial_mode_for_single_worker(self):
+        """One shard needs one worker: it maps in-process, whatever the
+        worker count."""
         log = build_log(20)
-        shards = shards_of(log, 2)
+        shards = shards_of(log, 1)
+        assert len(shards) == 1
         task = MapTask(
             attributes=("data",), include_denied=False, exclude_suspected=False,
             collect_regular=False, miner="sql", local_min_support=1,
         )
-        results, mode = run_sharded(map_shard, shards, task, workers=1)
+        results, mode = run_sharded(map_shard, shards, task, workers=2)
         assert mode == "serial"
-        assert [r.index for r in results] == [0, 1]
+        assert [r.index for r in results] == [0]
+        assert results[0].entries == 20
 
     def test_pool_mode_preserves_shard_order(self):
         log = build_log(40)

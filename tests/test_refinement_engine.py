@@ -9,6 +9,7 @@ from repro.audit.schema import AccessStatus
 from repro.errors import RefinementError
 from repro.mining.apriori import AprioriPatternMiner
 from repro.mining.patterns import MiningConfig
+from repro.mining.sql_patterns import SqlPatternMiner
 from repro.policy.rule import Rule
 from repro.refinement.engine import RefinementConfig, refine
 
@@ -48,9 +49,18 @@ class TestConfiguration:
         assert result.patterns == ()
 
     def test_custom_miner_threaded_through(self, vocabulary, fig3_store, table1_log):
-        config = RefinementConfig(miner=AprioriPatternMiner())
+        config = RefinementConfig(miner="apriori")
         result = refine(fig3_store.policy(), table1_log, vocabulary, config)
         assert len(result.useful_patterns) == 1
+
+    @pytest.mark.parametrize(
+        "miner",
+        ["fpgrowth", "SQL", "", None, SqlPatternMiner(), AprioriPatternMiner()],
+        ids=["unknown", "wrong-case", "empty", "none", "sql-object", "apriori-object"],
+    )
+    def test_only_the_named_miners_are_accepted(self, miner):
+        with pytest.raises(ValueError, match="unknown miner"):
+            RefinementConfig(miner=miner)
 
     def test_violation_screening_option(self, vocabulary, fig3_store):
         log = AuditLog()

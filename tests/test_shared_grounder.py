@@ -20,18 +20,15 @@ import pytest
 from repro import obs
 from repro.coverage.engine import compute_coverage
 from repro.errors import CoverageError, UnknownTermError
-from repro.mining.apriori import AprioriPatternMiner
 from repro.parallel.execution import ExecutionPolicy
 from repro.policy.grounding import Grounder, grounder_for, policy_range
 from repro.policy.parser import format_rule
 from repro.policy.rule import Rule
-from repro.refinement.engine import RefinementConfig, refine
+from repro.refinement.engine import MINERS, RefinementConfig, refine
 from repro.store.durable import copy_to_durable
 from repro.vocab.builtin import healthcare_vocabulary
 from repro.vocab.vocabulary import Vocabulary
 from repro.workload.scenarios import figure3_policy, table1_audit_log
-
-MINERS = {"sql": None, "apriori": AprioriPatternMiner()}
 
 
 def serialise(result) -> dict:
@@ -88,14 +85,14 @@ def counted_from_pairs(monkeypatch):
 
 
 class TestWarmRefine:
-    @pytest.mark.parametrize("miner", sorted(MINERS))
+    @pytest.mark.parametrize("miner", MINERS)
     @pytest.mark.parametrize("source", ["memory", "durable"])
     def test_warm_call_grounds_and_lifts_nothing(
         self, trail, counted_from_pairs, source, miner
     ):
         vocabulary = healthcare_vocabulary()
         policy = figure3_policy()
-        config = RefinementConfig(miner=MINERS[miner])
+        config = RefinementConfig(miner=miner)
         grounder = Grounder.for_vocabulary(vocabulary)
         cold = refine(policy, trail[source], vocabulary, config)
         assert grounder.misses > 0
@@ -108,12 +105,12 @@ class TestWarmRefine:
         assert serialise(warm) == serialise(cold)
 
     @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("miner", sorted(MINERS))
+    @pytest.mark.parametrize("miner", MINERS)
     def test_cold_and_warm_equal_a_private_grounder(self, trail, miner, workers):
         vocabulary = healthcare_vocabulary()
         policy = figure3_policy()
         config = RefinementConfig(
-            miner=MINERS[miner], execution=ExecutionPolicy(workers=workers)
+            miner=miner, execution=ExecutionPolicy(workers=workers)
         )
         private = refine(
             policy, trail["durable"], vocabulary, config, Grounder(vocabulary)

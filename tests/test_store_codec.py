@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from repro.audit.log import make_entry
 from repro.audit.schema import AccessOp, AccessStatus
 from repro.errors import StoreError
-from repro.store import codec
+from repro.store import codec, segment
 from repro.store.codec import (
     FRAME_OVERHEAD,
     HEADER_SIZE,
@@ -302,6 +302,42 @@ class TestFieldMemo:
         assert len({id(entry) for entry in decoded}) == 4
         assert all(entry.truth == "practice" for entry in decoded)
         assert len(memo.records) == 1
+
+
+class TestRecordMemoCap:
+    """A segment whose records do not repeat fills the record table only
+    up to ``RECORD_MEMO_LIMIT``; later misses decode through the field
+    table and are not kept."""
+
+    def test_a_segment_past_the_cap_decodes_whole_and_keeps_the_cap(
+        self, tmp_path, monkeypatch
+    ):
+        memos = []
+
+        class RecordedMemo(RecordMemo):
+            __slots__ = ()
+
+            def __init__(self):
+                super().__init__()
+                memos.append(self)
+
+        monkeypatch.setattr(segment, "RecordMemo", RecordedMemo)
+        limit = codec.RECORD_MEMO_LIMIT
+        written = [_entry(time=tick, user=f"u{tick}") for tick in range(limit + 300)]
+        # repeats of a memoised and of an unmemoised record, at new times
+        written += [_entry(time=limit + 400, user="u0"),
+                    _entry(time=limit + 401, user=f"u{limit + 299}")]
+        payloads = [encode_payload(entry) for entry in written]
+        path = tmp_path / "seg-00000001.seg"
+        path.write_bytes(SEGMENT_HEADER + b"".join(frame(p) for p in payloads))
+        decoded = list(iter_segment(path))
+        assert len(decoded) == len(payloads)
+        for payload, entry in zip(payloads, decoded):
+            assert_same_entry(reference_decode(payload), entry)
+        (memo,) = memos
+        assert len(memo.records) == limit
+        assert set(memo.records) == {payload[8:] for payload in payloads[:limit]}
+        assert_memo_valid(memo)
 
 
 def reference_walk(raw, offset=HEADER_SIZE):

@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 from repro.audit.classify import ClassifierConfig
 from repro.audit.log import AuditLog, make_entry
 from repro.audit.schema import AccessOp, AccessStatus
-from repro.mining.apriori import AprioriPatternMiner
 from repro.mining.patterns import MiningConfig
 from repro.parallel.partials import MapTask, PartialBuilder
 from repro.parallel.refine import TrailAggregate, parallel_refine
@@ -160,7 +159,7 @@ def config_for(case: str) -> RefinementConfig:
     miner, screened, scope, denied = CASES[case]
     return RefinementConfig(
         mining=MINING,
-        miner=AprioriPatternMiner() if miner == "apriori" else None,
+        miner=miner,
         include_denied=denied,
         exclude_suspected_violations=screened,
         classifier=CLASSIFIER,
