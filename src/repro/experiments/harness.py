@@ -133,11 +133,11 @@ def run_refinement_loop(
         config=RefinementConfig(
             mining=MiningConfig(
                 min_support=min_support, min_distinct_users=min_distinct_users
-            )
+            ),
+            execution=execution,
         ),
         refine_on_cumulative=refine_on_cumulative,
         cumulative_log=cumulative_log,
-        execution=execution,
     )
     return loop.run(rounds)
 

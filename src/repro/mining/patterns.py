@@ -34,18 +34,11 @@ class MiningConfig:
     ``min_distinct_users``
         The paper's condition ``c`` generalised to a count: the default 2
         encodes ``COUNT(DISTINCT user) > 1``.
-    ``index_practice``
-        When True, the SQL miner creates the standard audit-column
-        indexes on its throwaway ``practice`` materialisation.  Off by
-        default: Algorithm 5 reads every row exactly once (a grouped
-        scan), so index build time is pure overhead unless the caller
-        reuses the table for point lookups.
     """
 
     attributes: tuple[str, ...] = RULE_ATTRIBUTES
     min_support: int = 5
     min_distinct_users: int = 2
-    index_practice: bool = False
 
     def __post_init__(self) -> None:
         if not self.attributes:

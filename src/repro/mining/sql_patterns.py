@@ -135,7 +135,7 @@ class SqlPatternMiner:
         if len(log) == 0:
             return ()
         database = Database("analysis")
-        log.to_table(database, self.TABLE, index=config.index_practice)
+        log.to_table(database, self.TABLE)
         sql = build_analysis_sql(self.TABLE, config)
         result = database.query(sql)
         patterns: list[Pattern] = []

@@ -8,15 +8,16 @@ split of the log:
   federation members — that concatenate back to the global append order;
 - **map** (:mod:`repro.parallel.partials`): each shard streams once into
   a mergeable partial: Filter, the practice groups
-  ``key -> (support, user-set)`` (SON-style local candidates for
-  Apriori), the entry positions of every lifted rule and the
-  violation classifier's signals;
+  ``key -> (support, user-set)`` (the same for both miners), the entry
+  positions of every lifted rule and the violation classifier's
+  signals;
 - **fold and finish** (:mod:`repro.parallel.refine`): the partials fold,
   in shard order, into one :class:`~repro.parallel.refine.TrailAggregate`,
   whose ``finish`` lifts the rules, computes coverage, re-applies the
-  global ``HAVING`` thresholds and ordering, and prunes — with one shared
-  grounder, so every mask stays comparable.  The refinement daemon and
-  the fleet daemon keep the same aggregate across polls.
+  global ``HAVING`` thresholds and the miner's ordering, and prunes —
+  with one shared grounder, so every mask stays comparable.  The
+  refinement daemon and the fleet daemon keep the same aggregate across
+  polls.
 
 :func:`repro.refinement.engine.refine` runs this kernel for both miners
 at every worker count: one worker maps the trail in-process as a

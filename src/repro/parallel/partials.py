@@ -10,29 +10,26 @@ merging across shards is exact:
   the *local* positions of its entries.  Contiguous sharding turns these
   into global entry-coverage indices by adding per-shard offsets.
 - ``groups`` — the practice-mining partial aggregate
-  ``key -> [support, user-set]``.  Counts add and user sets union, which
-  is why the user *sets* travel: ``COUNT(DISTINCT user)`` is not
-  mergeable but its underlying set is.  For the SQL miner under
-  violation screening the key is compounded with the entry's classifier
-  rule so suspected groups can be dropped at merge time; for the Apriori
-  miner the SON phase-1 reduction keeps only locally frequent keys.
+  ``key -> [support, user-set]``, the same for both miners.  Counts add
+  and user sets union, which is why the user *sets* travel:
+  ``COUNT(DISTINCT user)`` is not mergeable but its underlying set is.
+  Under violation screening the key is compounded with the entry's
+  classifier rule so suspected groups can be dropped at merge time.
 - ``cls_stats`` / ``regular_rules`` — the violation classifier's
   signals (exception support, exception users, regular echo), collected
   per shard so the coordinator can reproduce
   :func:`repro.audit.classify.classify_exceptions` verdicts globally.
 
-:func:`count_shard` is the SON phase 2: an exact recount of the globally
-unioned candidate set, run only for the Apriori miner.
-
-Both functions are module-level and operate on picklable dataclasses so
-they cross the process boundary under any multiprocessing start method.
+:func:`map_shard` is module-level and operates on picklable dataclasses
+so it crosses the process boundary under any multiprocessing start
+method.
 """
 
 from __future__ import annotations
 
 import time
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from operator import attrgetter
 
@@ -68,11 +65,8 @@ class MapTask:
     include_denied: bool
     exclude_suspected: bool
     collect_regular: bool
-    miner: str
-    local_min_support: int
     #: also collect the *local positions* of the exception entries behind
-    #: every practice group (evidence for decision provenance); additive
-    #: so existing pickled tasks and call sites are untouched
+    #: every practice group (evidence for decision provenance)
     collect_exceptions: bool = False
 
 
@@ -82,7 +76,6 @@ class ShardPartial:
 
     index: int
     entries: int
-    practice_entries: int
     rule_entries: dict[GroupKey, list[int]]
     groups: dict
     cls_stats: dict | None
@@ -107,7 +100,6 @@ class PartialBuilder:
     def __init__(self, task: MapTask) -> None:
         self.task = task
         self.entries = 0
-        self.practice_entries = 0
         self.rule_entries: dict[GroupKey, list[int]] = {}
         self.groups: dict = {}
         self.exception_entries: dict[GroupKey, list[int]] | None = (
@@ -128,10 +120,9 @@ class PartialBuilder:
         exception_entries = self.exception_entries
         cls_stats = self.cls_stats
         regular_rules = self.regular_rules
-        needs_cls = task.exclude_suspected or task.collect_regular
-        compound_keys = task.exclude_suspected and task.miner == "sql"
+        compound_keys = task.exclude_suspected
+        needs_cls = compound_keys or task.collect_regular
         index = self.entries
-        practice_entries = self.practice_entries
         for entry in entries:
             values = rule_key(entry)
             positions = rule_entries.get(values)
@@ -154,7 +145,6 @@ class PartialBuilder:
                 if regular_rules is not None and not is_exception and is_allowed:
                     regular_rules.add(cls_values)
             if is_exception and (include_denied or is_allowed):
-                practice_entries += 1
                 key = (values, cls_values) if compound_keys else values
                 slot = groups.get(key)
                 if slot is None:
@@ -170,27 +160,14 @@ class PartialBuilder:
                         evidence.append(index)
             index += 1
         self.entries = index
-        self.practice_entries = practice_entries
 
     def finish(self, index: int) -> ShardPartial:
         """The partial of everything folded, as shard ``index``."""
-        task = self.task
-        groups = self.groups
-        if task.miner == "apriori":
-            # SON phase 1: only locally frequent keys become candidates.  The
-            # pigeonhole bound ceil(min_support / shard_count) guarantees no
-            # globally frequent key is dropped by every shard.
-            groups = {
-                key: slot
-                for key, slot in groups.items()
-                if slot[0] >= task.local_min_support
-            }
         return ShardPartial(
             index=index,
             entries=self.entries,
-            practice_entries=self.practice_entries,
             rule_entries=self.rule_entries,
-            groups=groups,
+            groups=self.groups,
             cls_stats=self.cls_stats,
             regular_rules=self.regular_rules,
             seconds=time.perf_counter() - self._started,
@@ -203,49 +180,3 @@ def map_shard(shard: Shard, task: MapTask) -> ShardPartial:
     builder = PartialBuilder(task)
     builder.extend(iter_shard(shard))
     return builder.finish(shard.index)
-
-
-@dataclass(frozen=True)
-class CountTask:
-    """SON phase 2 instructions: exact-count the candidate union."""
-
-    attributes: tuple[str, ...]
-    include_denied: bool
-    candidates: frozenset
-    suspected: frozenset = field(default_factory=frozenset)
-
-
-@dataclass
-class CountPartial:
-    """One shard's exact candidate counts (SON phase 2)."""
-
-    index: int
-    counts: dict[GroupKey, list]
-    seconds: float
-
-
-def count_shard(shard: Shard, task: CountTask) -> CountPartial:
-    """Exactly count ``task.candidates`` over the shard's practice set."""
-    started = time.perf_counter()
-    rule_key = key_of(task.attributes)
-    cls_rule_key = key_of(RULE_ATTRIBUTES)
-    counts: dict[GroupKey, list] = {}
-    for entry in iter_shard(shard):
-        if not entry.is_exception:
-            continue
-        if not task.include_denied and not entry.is_allowed:
-            continue
-        if task.suspected and cls_rule_key(entry) in task.suspected:
-            continue
-        values = rule_key(entry)
-        if values not in task.candidates:
-            continue
-        slot = counts.get(values)
-        if slot is None:
-            counts[values] = [1, {entry.user}]
-        else:
-            slot[0] += 1
-            slot[1].add(entry.user)
-    return CountPartial(
-        index=shard.index, counts=counts, seconds=time.perf_counter() - started
-    )

@@ -3,18 +3,18 @@
 :func:`parallel_refine` runs Algorithm 2 for both miners (``"sql"`` and
 ``"apriori"``) at every worker count: one worker maps the trail
 in-process as one shard, more map one shard each on a process pool.
-The partials fold into one :class:`TrailAggregate`, whose
-:meth:`~TrailAggregate.finish` runs the rest of the round.  The
-refinement daemon keeps the same aggregate across polls and finishes
-it at each mining round.
+Either way the trail is read once.  The partials fold into one
+:class:`TrailAggregate`, whose :meth:`~TrailAggregate.finish` runs the
+rest of the round.  The refinement daemon keeps the same aggregate
+across polls and finishes it at each mining round.
 
 The result equals the paper's literal pipeline (the test oracle) because
 partials are exact (counts add, user sets union), the global thresholds
-and orderings apply only at the finish (the Apriori path over-collects
-candidates by the SON pigeonhole bound and recounts them exactly, unless
-one unscreened shard's counts already are), and one grounder grounds
+and orderings apply only at the finish, and one grounder grounds
 everything — by default the vocabulary's shared one, whose memos carry
-over from call to call.
+over from call to call.  The miners differ only in that order: a
+full-width Apriori itemset over one-item-per-attribute transactions is
+exactly a ``GROUP BY`` group, so both fold the same groups.
 
 A finish emits the ``repro_refinement_stage`` spans ``coverage``,
 ``extract`` and ``prune``; the kernel adds ``filter`` around the map.
@@ -38,15 +38,7 @@ from repro.mining.patterns import MiningConfig, Pattern, apriori_pattern_order
 from repro.mining.sql_patterns import finalize_patterns, fold_groups
 from repro.obs.metrics import CARDINALITY_BUCKETS
 from repro.obs.runtime import get_registry
-from repro.parallel.partials import (
-    CountTask,
-    GroupKey,
-    MapTask,
-    ShardPartial,
-    count_shard,
-    key_of,
-    map_shard,
-)
+from repro.parallel.partials import GroupKey, MapTask, ShardPartial, key_of, map_shard
 from repro.parallel.pool import map_in_process, run_sharded
 from repro.parallel.shards import shards_of
 from repro.policy.grounding import Grounder, grounder_for
@@ -90,7 +82,7 @@ class TrailAggregate:
     #: every distinct rule key, in first-occurrence order -> entry count
     rules: dict[GroupKey, int] = field(default_factory=dict)
     #: the practice groups ``key -> [support, user-set]``; keys are
-    #: ``(values, classifier values)`` for the screened SQL miner
+    #: ``(values, classifier values)`` when the map screened
     groups: dict = field(default_factory=dict)
     #: practice rule key -> its first :data:`EVIDENCE_LIMIT` exception
     #: entry ids (only when the map collected exceptions)
@@ -184,11 +176,10 @@ class TrailAggregate:
             groups = self.groups
             if classifier is not None:
                 suspected = self.suspected(classifier)
-                if miner == "sql":  # compound keys: drop the suspected
-                    groups = {}
-                    for (values, cls_values), slot in self.groups.items():
-                        if cls_values not in suspected:
-                            fold_groups(groups, {values: slot})
+                groups = {}  # compound keys: drop the suspected
+                for (values, cls_values), slot in self.groups.items():
+                    if cls_values not in suspected:
+                        fold_groups(groups, {values: slot})
             patterns = finalize_patterns(
                 attributes,
                 groups,
@@ -208,13 +199,6 @@ class TrailAggregate:
             patterns=patterns,
             prune=prune,
         )
-
-
-def _map(worker, shards, task, workers: int) -> tuple[list, str]:
-    """One worker maps in-process; more fan out over :func:`run_sharded`."""
-    if workers == 1:
-        return map_in_process(worker, shards, task)
-    return run_sharded(worker, shards, task, workers)
 
 
 def _global_positions(
@@ -256,12 +240,11 @@ def parallel_refine(
             include_denied=cfg.include_denied,
             exclude_suspected=screened,
             collect_regular=screened and cfg.classify_scope == "log",
-            miner=miner,
-            local_min_support=max(
-                1, -(-cfg.mining.min_support // max(1, len(shards)))
-            ),
         )
-        partials, mode = _map(map_shard, shards, task, workers)
+        if workers == 1:
+            partials, mode = map_in_process(map_shard, shards, task)
+        else:
+            partials, mode = run_sharded(map_shard, shards, task, workers)
     offsets = list(accumulate((partial.entries for partial in partials), initial=0))
     total = offsets.pop()
     if total == 0:
@@ -285,21 +268,6 @@ def parallel_refine(
     aggregate = TrailAggregate()
     for partial in partials:
         aggregate.fold(partial)
-    if miner == "apriori" and aggregate.groups:
-        suspected = aggregate.suspected(classifier) if screened else frozenset()
-        if len(shards) > 1 or suspected:
-            # SON phase 2: exactly recount the locally frequent candidates
-            with reg.span("repro_refinement_stage", stage="extract"):
-                count_task = CountTask(
-                    attributes=attributes,
-                    include_denied=cfg.include_denied,
-                    candidates=frozenset(aggregate.groups),
-                    suspected=suspected,
-                )
-                counts, _ = _map(count_shard, shards, count_task, workers)
-                aggregate.groups = fold_groups(
-                    {}, *(part.counts for part in counts)
-                )
     trail = aggregate.finish(
         policy_store, vocabulary, grounder, cfg.mining, miner, classifier, name
     )

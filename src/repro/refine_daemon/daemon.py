@@ -129,15 +129,13 @@ class EnginePolicyTarget:
 
 
 def tail_task(attributes: tuple[str, ...]) -> MapTask:
-    """The map task a daemon folds its trail with: the SQL miner's
-    practice groups, every lifted rule, and the exception evidence."""
+    """The map task a daemon folds its trail with: the practice
+    groups, every lifted rule, and the exception evidence."""
     return MapTask(
         attributes=attributes,
         include_denied=False,
         exclude_suspected=False,
         collect_regular=False,
-        miner="sql",
-        local_min_support=1,
         collect_exceptions=True,
     )
 

@@ -4,9 +4,10 @@ The paper keeps a human in the refinement loop — "human input is prudent
 at this stage" — so the daemon never adopts a mined rule without passing
 it through a :class:`ReviewGate`.  Two built-ins:
 
-- :class:`AutoAcceptGate` — the automated stand-in, with exactly the
-  semantics of :class:`repro.refinement.review.ThresholdReview`: accept
-  with enough support and distinct users, otherwise *reject for now*.
+- :class:`AutoAcceptGate` — the automated stand-in: a
+  :class:`repro.refinement.review.ThresholdReview` whose threshold test
+  accepts with enough support and distinct users, otherwise *rejects
+  for now*.
   Rejections are **not sticky**: a pattern rejected in round ``r`` is
   re-judged in round ``r+1`` when its evidence has grown, precisely as
   the offline loop re-runs its review policy every round — the byte-
@@ -32,6 +33,7 @@ from typing import Protocol
 from repro.errors import DaemonError
 from repro.mining.patterns import Pattern
 from repro.policy.rule import Rule
+from repro.refinement.review import ThresholdReview
 
 #: A gate verdict: adopt now, re-judge later, or park for a human.
 VERDICTS: tuple[str, ...] = ("accept", "reject", "pend")
@@ -46,19 +48,12 @@ class ReviewGate(Protocol):
 
 
 @dataclass(frozen=True, slots=True)
-class AutoAcceptGate:
-    """Threshold-gated auto-accept (mirrors ``ThresholdReview``)."""
-
-    min_support: int = 10
-    min_distinct_users: int = 3
+class AutoAcceptGate(ThresholdReview):
+    """Threshold-gated auto-accept: ``ThresholdReview``'s test as a gate."""
 
     def decide(self, pattern: Pattern) -> str:
         """Accept with enough independent evidence, else reject-for-now."""
-        enough = (
-            pattern.support >= self.min_support
-            and pattern.distinct_users >= self.min_distinct_users
-        )
-        return "accept" if enough else "reject"
+        return "accept" if self.accept(pattern) else "reject"
 
 
 class QueueForReviewGate:

@@ -10,7 +10,8 @@ Every call runs the one shard → map → fold → finish kernel of
 in-process, reading the trail once; more workers fan the shards out to
 a process pool.  The miner is named, not passed: ``"sql"`` (the paper's
 GROUP BY statement, Algorithm 5) or ``"apriori"`` (its proposed
-upgrade), the two back-ends with a partial-aggregate form.  The literal
+upgrade, whose full-width patterns are the same groups in another
+order), so both fold one partial aggregate.  The literal
 steps — :func:`filter_practice`, :func:`extract_patterns` over a
 :class:`~repro.mining.patterns.PatternMiner`, :func:`prune_patterns` —
 stay public as the paper's Algorithms 3–6; chained by hand they are the

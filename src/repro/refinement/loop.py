@@ -12,13 +12,12 @@ drives that cycle against any traffic source implementing
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Protocol
 
 from repro.audit.log import AuditLog
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.parallel.execution import ExecutionPolicy
     from repro.store.durable import DurableAuditLog
 from repro.coverage.engine import compute_coverage, grouped_entry_coverage
 from repro.errors import RefinementError
@@ -113,19 +112,12 @@ class RefinementLoop:
         config: RefinementConfig | None = None,
         refine_on_cumulative: bool = True,
         cumulative_log: "AuditLog | DurableAuditLog | None" = None,
-        execution: "ExecutionPolicy | None" = None,
     ) -> None:
         self.environment = environment
         self.store = store
         self.vocabulary = vocabulary
         self.review = review
         self.config = config or RefinementConfig()
-        #: ``execution`` overrides the config's execution policy, so a
-        #: caller can parallelise an existing configuration without
-        #: rebuilding it: ``RefinementLoop(..., execution=
-        #: ExecutionPolicy(workers=4))`` shards every round's refine.
-        if execution is not None:
-            self.config = replace(self.config, execution=execution)
         #: where the loop accumulates audit history: any AuditLog-protocol
         #: sink (a :class:`~repro.store.durable.DurableAuditLog` makes the
         #: whole loop run off disk — appends are crash-safe and refinement

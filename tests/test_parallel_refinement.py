@@ -117,14 +117,12 @@ MINER_CASES = [pytest.param("sql", id="miner0"), pytest.param("apriori", id="min
 
 def three_shard_round(policy_store, log, vocabulary, miner: str):
     """Fold the in-process ``map_shard`` partials of ``shards_of(log, 3)``
-    and finish them (no candidate is dropped, so no SON recount)."""
+    and finish them."""
     task = MapTask(
         attributes=MiningConfig().attributes,
         include_denied=False,
         exclude_suspected=False,
         collect_regular=False,
-        miner=miner,
-        local_min_support=1,
     )
     shards = shards_of(log, 3)
     assert len(shards) == 3
@@ -276,29 +274,53 @@ def _refine_metrics(policy_store, log, vocabulary, workers: int) -> dict:
     return metrics
 
 
+def decodes_per_serial_refine(
+    policy_store, vocabulary, tmp_path, monkeypatch, case: str
+) -> tuple[int, int]:
+    """(records decoded, entries stored) for one serial ``refine()`` of
+    ``case`` over ``build_log()`` in a store of 45-entry segments."""
+    from repro.store import segment
+
+    durable = copy_to_durable(
+        build_log(), tmp_path / "store", config=StoreConfig(max_segment_entries=45)
+    )
+    decoded = []
+    decode = segment.decode_payload
+
+    def counting_decode(payload, *rest):
+        decoded.append(1)
+        return decode(payload, *rest)
+
+    try:
+        assert durable.stats().segments >= 5
+        monkeypatch.setattr(segment, "decode_payload", counting_decode)
+        refine(
+            policy_store, durable, vocabulary,
+            RefinementConfig(**CONFIG_CASES[case]),
+        )
+        return len(decoded), len(durable)
+    finally:
+        durable.close()
+
+
 class TestOneKernel:
     def test_serial_refine_decodes_each_entry_once(
         self, policy_store, vocabulary, tmp_path, monkeypatch
     ):
-        from repro.store import segment
-
-        durable = copy_to_durable(
-            build_log(), tmp_path / "store", config=StoreConfig(max_segment_entries=45)
+        decoded, stored = decodes_per_serial_refine(
+            policy_store, vocabulary, tmp_path, monkeypatch, "sql"
         )
-        decoded = []
-        decode = segment.decode_payload
+        assert decoded == stored
 
-        def counting_decode(payload, *rest):
-            decoded.append(1)
-            return decode(payload, *rest)
-
-        try:
-            assert durable.stats().segments >= 5
-            monkeypatch.setattr(segment, "decode_payload", counting_decode)
-            refine(policy_store, durable, vocabulary)
-            assert len(decoded) == len(durable)
-        finally:
-            durable.close()
+    # the "sql" case is the unparametrized test above, whose id is recorded
+    @pytest.mark.parametrize("case", sorted(set(CONFIG_CASES) - {"sql"}))
+    def test_serial_refine_decodes_each_entry_once_per_config(
+        self, case, policy_store, vocabulary, tmp_path, monkeypatch
+    ):
+        decoded, stored = decodes_per_serial_refine(
+            policy_store, vocabulary, tmp_path, monkeypatch, case
+        )
+        assert decoded == stored
 
     @pytest.mark.parametrize("miner", MINER_CASES)
     @pytest.mark.parametrize("workers", [1, 2])
@@ -508,13 +530,11 @@ class TestPartialAggregates:
                 include_denied=False,
                 exclude_suspected=False,
                 collect_regular=False,
-                miner="sql",
-                local_min_support=1,
             ),
         )
         assert partial.entries == 50
         assert sum(len(v) for v in partial.rule_entries.values()) == 50
-        assert partial.practice_entries == sum(
+        assert sum(count for count, _ in partial.groups.values()) == sum(
             1 for e in log if e.is_exception and e.is_allowed
         )
         assert partial.cls_stats is None
@@ -532,7 +552,7 @@ class TestPool:
         assert len(shards) == 1
         task = MapTask(
             attributes=("data",), include_denied=False, exclude_suspected=False,
-            collect_regular=False, miner="sql", local_min_support=1,
+            collect_regular=False,
         )
         results, mode = run_sharded(map_shard, shards, task, workers=2)
         assert mode == "serial"
@@ -544,7 +564,7 @@ class TestPool:
         shards = shards_of(log, 4)
         task = MapTask(
             attributes=("data",), include_denied=False, exclude_suspected=False,
-            collect_regular=False, miner="sql", local_min_support=1,
+            collect_regular=False,
         )
         results, mode = run_sharded(map_shard, shards, task, workers=4)
         assert mode in ("pool", "serial")  # pool unless the platform refuses

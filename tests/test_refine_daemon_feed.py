@@ -177,8 +177,8 @@ class TestFedEqualsMapped:
         task=st.sampled_from(
             (
                 tail_task(RULE_ATTRIBUTES),
-                MapTask(RULE_ATTRIBUTES, True, True, True, "sql", 1, True),
-                MapTask(("data", "authorized"), False, True, False, "apriori", 2),
+                MapTask(RULE_ATTRIBUTES, True, True, True, True),
+                MapTask(("data", "authorized"), False, True, False),
             )
         ),
     )

@@ -106,16 +106,13 @@ def build_entries(rows) -> list:
 
 
 def task_for(case: str) -> MapTask:
-    """The kernel's map task for ``case``, keeping every local group (a
-    SON threshold of one makes the Apriori partials exact)."""
-    miner, screened, scope, denied = CASES[case]
+    """The kernel's map task for ``case``, with the exception evidence."""
+    _, screened, scope, denied = CASES[case]
     return MapTask(
         attributes=ATTRIBUTES,
         include_denied=denied,
         exclude_suspected=screened,
         collect_regular=screened and scope == "log",
-        miner=miner,
-        local_min_support=1,
         collect_exceptions=True,
     )
 
