@@ -33,8 +33,13 @@ non-empty after ``strip()``, :func:`~repro.vocab.tree.canonical`), so
 each distinct field is checked once too; ``op``/``status`` come from a
 fixed lookup, and the entry is built without re-running the
 constructor's checks.  A record or field that fails validation raises
-:class:`~repro.errors.StoreError` and enters neither table.  Segment
-readers keep one memo per segment read.  A memoised record costs about
+:class:`~repro.errors.StoreError` and enters neither table.  Store
+iteration, recovery scans and index lookups keep one memo per segment
+read.  The refinement map builds no entry at all: it reads payloads
+through :func:`~repro.store.segment.iter_segment_payloads`, validates
+each distinct record once through :func:`decode_body`, and keeps its own
+record memo (:class:`~repro.parallel.partials.PartialBuilder`) under the
+same :data:`RECORD_MEMO_LIMIT`.  A memoised record costs about
 230 bytes, some three times a typical frame, so the record table keeps
 at most :data:`RECORD_MEMO_LIMIT` records: over a full 4 MiB segment of
 distinct records, iterating peaks at 6.2 MB of allocation (17.9 MB
@@ -78,7 +83,8 @@ MAX_RECORD_BYTES: int = 1 << 24
 FRAME_PREFIX = struct.Struct("<II")
 
 _FIXED = struct.Struct("<QBB")
-_TIME = struct.Struct("<Q")
+#: A record payload opens with its time, an unsigned 64-bit tick.
+PAYLOAD_TIME = struct.Struct("<Q")
 _CODES = struct.Struct("<BB")
 _STRLEN = struct.Struct("<I")
 
@@ -138,22 +144,24 @@ def decode_payload(payload: bytes, memo: RecordMemo | None = None) -> AuditEntry
     """
     if memo is None:
         memo = RecordMemo()
-    body = payload[_TIME.size:]
+    body = payload[PAYLOAD_TIME.size:]
     records = memo.records
     fields = records.get(body)
     if fields is None:
-        fields = _decode_body(body, memo.strings)
+        fields = decode_body(body, memo.strings)
         if len(records) < RECORD_MEMO_LIMIT:
             records[body] = fields
-    return _from_checked(_TIME.unpack_from(payload)[0], fields)
+    return _from_checked(PAYLOAD_TIME.unpack_from(payload)[0], fields)
 
 
-def _decode_body(body: bytes, strings: dict[bytes, str]) -> tuple:
+def decode_body(body: bytes, strings: dict[bytes, str]) -> tuple:
     """Validate a payload's bytes after the time into the field tuple
     ``(op, user, data, purpose, authorized, status, truth)``.
 
-    Each string attribute goes through the ``strings`` field memo; a
-    field that fails the check raises and never enters it.
+    Each string attribute goes through the ``strings`` field memo (a
+    field's raw bytes to its canonical string); a field that fails the
+    check raises :class:`~repro.errors.StoreError` and never enters it.
+    Only CRC-checked payloads the store wrote come here.
     """
     try:
         op_code, status_code = _CODES.unpack_from(body, 0)
@@ -182,8 +190,8 @@ def _decode_body(body: bytes, strings: dict[bytes, str]) -> tuple:
         end = offset + length
         if end != size:
             raise StoreError(
-                f"truth field ends at byte {_TIME.size + end} of a "
-                f"{_TIME.size + size}-byte payload"
+                f"truth field ends at byte {PAYLOAD_TIME.size + end} of a "
+                f"{PAYLOAD_TIME.size + size}-byte payload"
             )
         values.append(status)
         values.append(body[offset:end].decode("utf-8"))

@@ -9,6 +9,9 @@ the log size.
 :func:`scan_segment` is the recovery and streaming primitive — it decodes
 every committed record and reports exactly where the valid prefix ends,
 so a torn tail can be truncated without guessing.
+:func:`iter_segment_payloads` is the one reader of records from a file:
+:func:`iter_segment` decodes what it yields into entries, and the
+refinement map folds the payloads without building any.
 """
 
 from __future__ import annotations
@@ -111,19 +114,33 @@ def scan_segment(
     )
 
 
-def iter_segment(path: str | Path, start_offset: int = HEADER_SIZE) -> Iterator[AuditEntry]:
-    """Yield every committed entry of a segment, from ``start_offset`` on.
+def iter_segment_payloads(
+    path: str | Path, start_offset: int = HEADER_SIZE
+) -> Iterator[bytes]:
+    """Yield the payload of every committed record of a segment, from
+    ``start_offset`` on: the one reader of records from segment files.
 
-    Stops silently at the first invalid frame (the scan/recovery path is
-    responsible for deciding whether that is acceptable); use
-    :func:`scan_segment` when the end position matters.
+    Each frame's length and CRC are checked; the walk stops silently at
+    the first invalid frame (the scan/recovery path is responsible for
+    deciding whether that is acceptable).  A payload is undecoded bytes.
     """
     raw = Path(path).read_bytes()
     if len(raw) < HEADER_SIZE:
         return
     check_header(raw, Path(path))
-    memo = RecordMemo()
     for payload, _ in iter_frames(raw, start_offset):
+        yield payload
+
+
+def iter_segment(path: str | Path, start_offset: int = HEADER_SIZE) -> Iterator[AuditEntry]:
+    """Yield every committed entry of a segment, from ``start_offset`` on.
+
+    Stops silently at the first invalid frame, as
+    :func:`iter_segment_payloads` does; use :func:`scan_segment` when
+    the end position matters.
+    """
+    memo = RecordMemo()
+    for payload in iter_segment_payloads(path, start_offset):
         yield decode_payload(payload, memo)
 
 

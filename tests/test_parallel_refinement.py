@@ -277,23 +277,25 @@ def _refine_metrics(policy_store, log, vocabulary, workers: int) -> dict:
 def decodes_per_serial_refine(
     policy_store, vocabulary, tmp_path, monkeypatch, case: str
 ) -> tuple[int, int]:
-    """(records decoded, entries stored) for one serial ``refine()`` of
-    ``case`` over ``build_log()`` in a store of 45-entry segments."""
+    """(records read from segment files, entries stored) for one serial
+    ``refine()`` of ``case`` over ``build_log()`` in a store of 45-entry
+    segments."""
     from repro.store import segment
 
     durable = copy_to_durable(
         build_log(), tmp_path / "store", config=StoreConfig(max_segment_entries=45)
     )
     decoded = []
-    decode = segment.decode_payload
+    read = segment.iter_segment_payloads
 
-    def counting_decode(payload, *rest):
-        decoded.append(1)
-        return decode(payload, *rest)
+    def counting_read(*args):
+        for payload in read(*args):
+            decoded.append(1)
+            yield payload
 
     try:
         assert durable.stats().segments >= 5
-        monkeypatch.setattr(segment, "decode_payload", counting_decode)
+        monkeypatch.setattr(segment, "iter_segment_payloads", counting_read)
         refine(
             policy_store, durable, vocabulary,
             RefinementConfig(**CONFIG_CASES[case]),

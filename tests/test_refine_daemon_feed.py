@@ -108,17 +108,19 @@ def without_timing(partial) -> dict:
 
 
 def counting_decode(monkeypatch) -> list:
-    """Count every record the segment reader decodes."""
+    """Count every record read from a segment file (the one reader,
+    ``segment.iter_segment_payloads``, serves the map and iteration)."""
     from repro.store import segment
 
     decoded: list = []
-    decode = segment.decode_payload
+    read = segment.iter_segment_payloads
 
-    def counted(payload, *rest):
-        decoded.append(1)
-        return decode(payload, *rest)
+    def counted(*args):
+        for payload in read(*args):
+            decoded.append(1)
+            yield payload
 
-    monkeypatch.setattr(segment, "decode_payload", counted)
+    monkeypatch.setattr(segment, "iter_segment_payloads", counted)
     return decoded
 
 

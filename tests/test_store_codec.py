@@ -464,13 +464,13 @@ class TestFieldMemoCounts:
     @pytest.fixture()
     def records(self, monkeypatch):
         calls = []
-        decode_body = codec._decode_body
+        decode_body = codec.decode_body
 
         def counting_decode(body, strings):
             calls.append(body)
             return decode_body(body, strings)
 
-        monkeypatch.setattr(codec, "_decode_body", counting_decode)
+        monkeypatch.setattr(codec, "decode_body", counting_decode)
         return calls
 
     def test_segment_reads_check_each_distinct_value_once(
