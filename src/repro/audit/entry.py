@@ -68,10 +68,10 @@ class AuditEntry:
         truth)``, the entry's fields after ``time`` in the record payload's
         order.  The caller vouches for the invariant: ``time`` is
         non-negative, ``op``/``status`` are enum members, and the four
-        attributes came out of :func:`canonical_field`.  Only the store
-        codec uses this, for records the store wrote and CRC-checked;
-        every external input goes through the validating constructor.
-        The fields are set through the slot descriptors, which bypass the
+        attributes came out of :func:`canonical_field`.  Two callers do:
+        the store codec, for records the store wrote and CRC-checked, and
+        :meth:`for_categories`, after checking each field once.  The
+        fields are set through the slot descriptors, which bypass the
         frozen ``__setattr__`` without the ``object.__setattr__`` lookup.
         """
         entry = _new(cls)
@@ -85,6 +85,43 @@ class AuditEntry:
         _set_status(entry, status)
         _set_truth(entry, truth)
         return entry
+
+    @classmethod
+    def for_categories(
+        cls,
+        time: int,
+        op: AccessOp,
+        user: str,
+        categories: tuple[str, ...],
+        purpose: str,
+        authorized: str,
+        status: AccessStatus,
+        truth: str = "",
+    ) -> tuple["AuditEntry", ...]:
+        """One entry per category of one request, each field checked once.
+
+        Returns exactly ``tuple(AuditEntry(time, op, user, c, purpose,
+        authorized, status, truth) for c in categories)`` and raises what
+        that raises: the checks run in ``__post_init__``'s order, with the
+        first category checked before the purpose.
+        """
+        if not categories:
+            return ()
+        if time < 0:
+            raise AuditError(f"audit time must be non-negative, got {time}")
+        op = AccessOp(op)
+        status = AccessStatus(status)
+        user = canonical_field("user", user)
+        data = [canonical_field("data", categories[0])]
+        purpose = canonical_field("purpose", purpose)
+        authorized = canonical_field("authorized", authorized)
+        data += [canonical_field("data", category) for category in categories[1:]]
+        return tuple(
+            cls._from_checked(
+                time, (op, user, category, purpose, authorized, status, truth)
+            )
+            for category in data
+        )
 
     # ------------------------------------------------------------------
     # predicates

@@ -8,6 +8,10 @@ clock so entry times are monotone even when many components log.
 The paper's first concern about retroactive controls is overhead; the
 auditor therefore does nothing but append to its log (cheap by
 construction) and exposes counters so benchmark E6 can quantify the cost.
+A request's entries share every field but ``data``, so
+:meth:`~repro.audit.entry.AuditEntry.for_categories` checks the shared
+fields once and each category once.  Every enforcement point audits a
+decision through :meth:`ComplianceAuditor.record_decision`.
 The log defaults to in-memory; hand the constructor a
 :class:`~repro.store.durable.DurableAuditLog` to write the trail through
 to the crash-safe segmented store instead (E16 measures that path).
@@ -143,19 +147,8 @@ class ComplianceAuditor:
                         f"{next_tick}: unknown {attribute} value {value!r} "
                         f"is not a node of the {attribute!r} vocabulary tree"
                     )
-        tick = self.clock.tick()
-        entries = tuple(
-            AuditEntry(
-                time=tick,
-                op=op,
-                user=user,
-                data=category,
-                purpose=purpose,
-                authorized=role,
-                status=status,
-                truth=truth,
-            )
-            for category in categories
+        entries = AuditEntry.for_categories(
+            self.clock.tick(), op, user, categories, purpose, role, status, truth
         )
         for entry in entries:
             self.log.append(entry)
@@ -169,3 +162,28 @@ class ComplianceAuditor:
             labels={"entries": str(len(entries))},
         )
         return entries
+
+    def record_decision(
+        self,
+        user: str,
+        role: str,
+        purpose: str,
+        returned: tuple[str, ...],
+        masked: tuple[str, ...],
+        status: AccessStatus,
+        truth: str = "",
+    ) -> tuple[AuditEntry, ...]:
+        """Audit one enforced decision; return its ALLOW entries.
+
+        A request with nothing permitted writes DENY entries for
+        ``masked`` at one tick.  Otherwise the ``returned`` categories get
+        ALLOW entries at one tick and any ``masked`` ones DENY entries at
+        the next.  Every enforcement point (the in-process and tree
+        enforcers, the PDP engine) audits through this, so their trails
+        agree entry for entry.
+        """
+        allowed = self.record_access(
+            user, role, purpose, returned, AccessOp.ALLOW, status, truth
+        )
+        self.record_access(user, role, purpose, masked, AccessOp.DENY, status, truth)
+        return allowed

@@ -297,14 +297,8 @@ class ActiveEnforcer:
                 "deny user=%s role=%s purpose=%s categories=%s",
                 request.user, role, purpose, ",".join(masked),
             )
-            self.auditor.record_access(
-                user=request.user,
-                role=role,
-                purpose=purpose,
-                categories=masked,
-                op=AccessOp.DENY,
-                status=status,
-                truth=request.truth,
+            self.auditor.record_decision(
+                request.user, role, purpose, returned, masked, status, request.truth
             )
             raise AccessDeniedError(
                 f"policy permits none of the requested categories {masked} "
@@ -338,14 +332,8 @@ class ActiveEnforcer:
                 rows_dropped
             )
 
-        allow_entries = self.auditor.record_access(
-            user=request.user,
-            role=role,
-            purpose=purpose,
-            categories=returned,
-            op=AccessOp.ALLOW,
-            status=status,
-            truth=request.truth,
+        allow_entries = self.auditor.record_decision(
+            request.user, role, purpose, returned, masked, status, request.truth
         )
         if self.ledger is not None and allow_entries:
             from repro.hdb.accounting import Disclosure
@@ -364,16 +352,6 @@ class ActiveEnforcer:
                             status=status,
                         )
                     )
-        if masked:
-            self.auditor.record_access(
-                user=request.user,
-                role=role,
-                purpose=purpose,
-                categories=masked,
-                op=AccessOp.DENY,
-                status=status,
-                truth=request.truth,
-            )
         return EnforcementResult(
             result=final,
             decision=AccessOp.ALLOW,

@@ -38,7 +38,7 @@ import threading
 import time
 from dataclasses import dataclass
 
-from repro.audit.schema import AccessOp, AccessStatus
+from repro.audit.schema import AccessStatus
 from repro.errors import AccessDeniedError, EnforcementError, PrimaError
 from repro.hdb.consent import ConsentStore
 from repro.hdb.enforcement import AccessRequest, ActiveEnforcer
@@ -196,13 +196,9 @@ class PdpEngine:
     # the decision paths
     # ------------------------------------------------------------------
     def decide(self, request: ServeRequest) -> dict:
-        """The category-level PDP decision, audited write-through.
-
-        Mirrors the enforcer's audit semantics exactly: a fully denied
-        request writes DENY entries and answers ``DENIED``; an allowed
-        request writes ALLOW entries for the permitted categories plus
-        DENY entries for any masked ones.
-        """
+        """The category-level PDP decision, audited write-through by
+        :meth:`~repro.hdb.auditing.ComplianceAuditor.record_decision`: a
+        fully denied request answers ``DENIED``."""
         snapshot = self.manager.current
         trace_id = obstrace.recording_trace_id()
         started = time.perf_counter()
@@ -221,15 +217,12 @@ class PdpEngine:
             )
         masked = tuple(sorted(set(categories) - permitted))
         returned = tuple(sorted(permitted))
-        auditor = self.manager.auditor
         self.decisions_served += 1
         versions = snapshot.versions()
+        self.manager.auditor.record_decision(
+            request.user, role, purpose, returned, masked, status, request.truth
+        )
         if categories and not permitted:
-            auditor.record_access(
-                user=request.user, role=role, purpose=purpose,
-                categories=masked, op=AccessOp.DENY, status=status,
-                truth=request.truth,
-            )
             response = protocol.error_response(
                 code=protocol.DENIED,
                 error=f"policy permits none of {list(masked)} for role "
@@ -238,17 +231,6 @@ class PdpEngine:
                 versions=versions,
             )
         else:
-            auditor.record_access(
-                user=request.user, role=role, purpose=purpose,
-                categories=returned, op=AccessOp.ALLOW, status=status,
-                truth=request.truth,
-            )
-            if masked:
-                auditor.record_access(
-                    user=request.user, role=role, purpose=purpose,
-                    categories=masked, op=AccessOp.DENY, status=status,
-                    truth=request.truth,
-                )
             response = protocol.ok_response(
                 decision="allow",
                 status="exception" if request.exception else "regular",

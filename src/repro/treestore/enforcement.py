@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.audit.schema import AccessOp, AccessStatus
+from repro.audit.schema import AccessStatus
 from repro.errors import AccessDeniedError, EnforcementError
 from repro.hdb.auditing import ComplianceAuditor
 from repro.hdb.consent import ConsentStore
@@ -187,9 +187,8 @@ class TreeEnforcer:
         masked = tuple(sorted(requested - permitted))
         returned = tuple(sorted(permitted))
         if requested and not permitted:
-            self.auditor.record_access(
-                user=user, role=role, purpose=purpose, categories=masked,
-                op=AccessOp.DENY, status=status, truth=truth,
+            self.auditor.record_decision(
+                user, role, purpose, returned, masked, status, truth
             )
             raise AccessDeniedError(
                 f"policy permits none of the requested categories {masked} "
@@ -234,15 +233,9 @@ class TreeEnforcer:
             for pruned in [_prune_clone(root, removals)]
             if pruned is not None
         )
-        self.auditor.record_access(
-            user=user, role=role, purpose=purpose, categories=returned,
-            op=AccessOp.ALLOW, status=status, truth=truth,
+        self.auditor.record_decision(
+            user, role, purpose, returned, masked, status, truth
         )
-        if masked:
-            self.auditor.record_access(
-                user=user, role=role, purpose=purpose, categories=masked,
-                op=AccessOp.DENY, status=status, truth=truth,
-            )
         return TreeEnforcementResult(
             subtrees=subtrees,
             status=status,

@@ -10,7 +10,11 @@ may use as shorthand for the whole subtree.
 Values are canonicalised (lower-cased, stripped, internal whitespace
 collapsed to underscores) so that ``"Birth Date"`` and ``"birth_date"`` name
 the same node.  The canonical form is what all other layers of the library
-compare against.
+compare against.  :func:`canonical` runs on every audited and decided
+value, mostly on the same few role, purpose and category strings, so it
+remembers the answer for each of the first :data:`CANONICAL_MEMO_LIMIT`
+distinct ``str`` inputs of at most :data:`CANONICAL_MEMO_MAX_CHARS`
+characters; past the cap, misses are computed but not kept.
 """
 
 from __future__ import annotations
@@ -22,22 +26,48 @@ from repro.errors import DuplicateTermError, UnknownTermError, VocabularyError
 
 _WHITESPACE = re.compile(r"\s+")
 
+#: The most distinct inputs :func:`canonical` remembers.  Past it a miss
+#: is still computed but not kept, so the memo holds at most this many
+#: entries whatever the callers send.
+CANONICAL_MEMO_LIMIT: int = 8192
+
+#: The longest input :func:`canonical` remembers.  Vocabulary values are
+#: a few words; the bound keeps a caller's long strings (a served frame
+#: may carry 64 KiB of them) out of the memo, so it stays a few MB.
+CANONICAL_MEMO_MAX_CHARS: int = 64
+
+#: exact-``str`` input -> its canonical form; nothing that raised is kept
+_canonical_memo: dict[str, str] = {}
+
 
 def canonical(value: str) -> str:
     """Return the canonical form of a vocabulary value.
 
     Canonicalisation lower-cases the value, strips surrounding whitespace,
-    and replaces internal whitespace runs with a single underscore.
+    and replaces internal whitespace runs with a single underscore.  Only
+    exact ``str`` inputs are memoised; a subclass is recomputed each time
+    and anything else raises :class:`~repro.errors.VocabularyError`.
 
     >>> canonical("  Birth Date ")
     'birth_date'
     """
-    if not isinstance(value, str):
+    if type(value) is str:
+        cached = _canonical_memo.get(value)
+        if cached is not None:
+            return cached
+    elif not isinstance(value, str):
         raise VocabularyError(f"vocabulary values must be strings, got {value!r}")
     collapsed = _WHITESPACE.sub("_", value.strip())
     if not collapsed:
         raise VocabularyError("vocabulary values must be non-empty strings")
-    return collapsed.lower()
+    result = collapsed.lower()
+    if (
+        type(value) is str
+        and len(value) <= CANONICAL_MEMO_MAX_CHARS
+        and len(_canonical_memo) < CANONICAL_MEMO_LIMIT
+    ):
+        _canonical_memo[value] = result
+    return result
 
 
 class VocabularyTree:

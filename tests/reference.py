@@ -22,16 +22,25 @@ tests.
 store rule whose ``Rule.covers`` accepts the three-term request.  The
 enforcers answer through the store's permit index instead;
 ``tests/test_properties_permit_index.py`` holds the two equal.
+
+:func:`reference_audit_entries` builds one request's audit entries one
+at a time through the validating constructor, and
+:func:`reference_canonical` is ``canonical()`` without its memo.
+``AuditEntry.for_categories`` and ``ComplianceAuditor.record_access``
+check each field once and the memo serves repeats instead;
+``tests/test_audit_batch.py`` and ``tests/test_canonical_memo.py`` hold
+each equal to its oracle.
 """
 
 from __future__ import annotations
 
+import re
 import struct
 
 from repro.audit.entry import AuditEntry
 from repro.audit.schema import AccessOp, AccessStatus
 from repro.coverage.engine import compute_coverage, compute_entry_coverage
-from repro.errors import AuditError, StoreError
+from repro.errors import AuditError, StoreError, VocabularyError
 from repro.mining.apriori import AprioriPatternMiner
 from repro.mining.sql_patterns import SqlPatternMiner
 from repro.policy.grounding import Grounder
@@ -79,6 +88,40 @@ def reference_decode(payload: bytes) -> AuditEntry:
         raise
     except (struct.error, UnicodeDecodeError, ValueError, AuditError) as exc:
         raise StoreError(f"undecodable audit record payload: {exc}") from exc
+
+
+def reference_audit_entries(
+    time, op, user, categories, purpose, authorized, status, truth=""
+) -> tuple[AuditEntry, ...]:
+    """One entry per category, each through the validating constructor
+    (``record_access`` before its batch constructor)."""
+    return tuple(
+        AuditEntry(
+            time=time,
+            op=op,
+            user=user,
+            data=category,
+            purpose=purpose,
+            authorized=authorized,
+            status=status,
+            truth=truth,
+        )
+        for category in categories
+    )
+
+
+_WHITESPACE = re.compile(r"\s+")
+
+
+def reference_canonical(value) -> str:
+    """Lower-case, strip and collapse whitespace runs to ``_``, computed
+    afresh on every call."""
+    if not isinstance(value, str):
+        raise VocabularyError(f"vocabulary values must be strings, got {value!r}")
+    collapsed = _WHITESPACE.sub("_", value.strip())
+    if not collapsed:
+        raise VocabularyError("vocabulary values must be non-empty strings")
+    return collapsed.lower()
 
 
 def reference_groups(entries, attributes: tuple[str, ...]) -> dict:
