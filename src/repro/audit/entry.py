@@ -26,6 +26,15 @@ def canonical_field(attribute: str, value: object) -> str:
     return canonical(value)
 
 
+def _check_time(time: object) -> None:
+    """Raise :class:`~repro.errors.AuditError` unless ``time`` is a
+    non-negative ``int`` other than a ``bool``."""
+    if not isinstance(time, int) or isinstance(time, bool):
+        raise AuditError(f"audit time must be an integer, got {time!r}")
+    if time < 0:
+        raise AuditError(f"audit time must be non-negative, got {time}")
+
+
 @dataclass(frozen=True, slots=True)
 class AuditEntry:
     """One audited access.
@@ -50,8 +59,7 @@ class AuditEntry:
     truth: str = field(default="", compare=False)
 
     def __post_init__(self) -> None:
-        if self.time < 0:
-            raise AuditError(f"audit time must be non-negative, got {self.time}")
+        _check_time(self.time)
         object.__setattr__(self, "op", AccessOp(self.op))
         object.__setattr__(self, "status", AccessStatus(self.status))
         for attribute in STRING_ATTRIBUTES:
@@ -67,7 +75,7 @@ class AuditEntry:
         ``fields`` is ``(op, user, data, purpose, authorized, status,
         truth)``, the entry's fields after ``time`` in the record payload's
         order.  The caller vouches for the invariant: ``time`` is
-        non-negative, ``op``/``status`` are enum members, and the four
+        a non-negative int, ``op``/``status`` are enum members, and the four
         attributes came out of :func:`canonical_field`.  Two callers do:
         the store codec, for records the store wrote and CRC-checked, and
         :meth:`for_categories`, after checking each field once.  The
@@ -107,8 +115,7 @@ class AuditEntry:
         """
         if not categories:
             return ()
-        if time < 0:
-            raise AuditError(f"audit time must be non-negative, got {time}")
+        _check_time(time)
         op = AccessOp(op)
         status = AccessStatus(status)
         user = canonical_field("user", user)

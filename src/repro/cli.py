@@ -19,7 +19,7 @@ Commands:
     the round-by-round trajectory (optionally replaying a sample of the
     traffic through active enforcement with ``--enforce-sample``; with
     ``--store-dir`` the cumulative history is persisted in a durable
-    segmented store and refinement streams it off disk; with
+    segmented store; with
     ``--corpus DIR`` the loop replays a saved corpus bundle's recorded
     trace from the bundle's own documented store).
 ``corpus``
@@ -202,11 +202,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                "active enforcement afterwards (0 disables)")
     simulate.add_argument("--store-dir", default=None, metavar="DIR",
                           help="persist the cumulative audit history in a "
-                               "durable segmented store at DIR and refine "
-                               "straight off disk")
-    simulate.add_argument("--workers", type=int, default=1, metavar="N",
-                          help="shard each round's refinement across N worker "
-                               "processes (default 1)")
+                               "durable segmented store at DIR")
     simulate.add_argument("--corpus", default=None, metavar="DIR",
                           help="replay a saved corpus bundle's recorded trace "
                                "from its own documented store instead of "
@@ -750,14 +746,16 @@ def _cmd_triage(arguments: argparse.Namespace) -> int:
         mine_template_weights,
         triage_patterns,
     )
+    from repro.parallel.refine import TrailAggregate, fold_and_finish
 
     bundle = load_corpus(arguments.corpus)
     context = ExplanationContext(bundle.state, bundle.log)
     weights = mine_template_weights(bundle.log, context)
     index = build_index(bundle.log, context, weights)
-    result = refine(
-        bundle.store.policy(),
+    trail = fold_and_finish(
+        TrailAggregate(),
         bundle.log,
+        bundle.store.policy(),
         bundle.vocabulary,
         RefinementConfig(
             mining=MiningConfig(
@@ -767,7 +765,7 @@ def _cmd_triage(arguments: argparse.Namespace) -> int:
         ),
     )
     report = triage_patterns(
-        result.useful_patterns,
+        trail.prune.useful,
         index,
         TriageThresholds(
             auto_accept=arguments.auto_accept,
@@ -805,14 +803,14 @@ def _cmd_simulate(arguments: argparse.Namespace) -> int:
     from repro.experiments.harness import run_refinement_loop, standard_loop_setup
     from repro.refinement.review import AcceptAll, ThresholdReview
 
+    review = AcceptAll() if arguments.review == "accept-all" else ThresholdReview()
     if arguments.corpus is not None:
-        return _simulate_corpus_replay(arguments)
+        return _simulate_corpus_replay(arguments, review)
     setup = standard_loop_setup(
         documented_fraction=arguments.documented,
         accesses_per_round=arguments.accesses,
         seed=arguments.seed,
     )
-    review = AcceptAll() if arguments.review == "accept-all" else ThresholdReview()
     durable = None
     if arguments.store_dir is not None:
         from repro.store.durable import DurableAuditLog
@@ -823,20 +821,8 @@ def _cmd_simulate(arguments: argparse.Namespace) -> int:
         review,
         rounds=arguments.rounds,
         cumulative_log=durable,
-        workers=arguments.workers,
     )
-    print(
-        format_table(
-            ["round", "entries", "exc-rate", "entry-cov", "accepted", "store"],
-            [
-                [r.round_index, r.entries, f"{r.exception_rate:.1%}",
-                 f"{r.entry_coverage_after:.1%}", r.rules_accepted,
-                 r.store_size_after]
-                for r in result.rounds
-            ],
-            title=f"refinement loop ({arguments.review} review)",
-        )
-    )
+    _print_rounds(result, f"refinement loop ({arguments.review} review)")
     if arguments.enforce_sample > 0:
         from repro.experiments.harness import replay_through_enforcement
 
@@ -854,12 +840,11 @@ def _cmd_simulate(arguments: argparse.Namespace) -> int:
     return 0
 
 
-def _simulate_corpus_replay(arguments: argparse.Namespace) -> int:
+def _simulate_corpus_replay(arguments: argparse.Namespace, review) -> int:
     """``simulate --corpus``: refinement over a bundle's recorded trace."""
     from repro.corpus import load_corpus
     from repro.experiments.harness import ReplayEnvironment
     from repro.refinement.loop import RefinementLoop
-    from repro.refinement.review import AcceptAll, ThresholdReview
 
     bundle = load_corpus(arguments.corpus)
     spec = bundle.spec
@@ -870,7 +855,6 @@ def _simulate_corpus_replay(arguments: argparse.Namespace) -> int:
         for start in range(0, len(entries), per_round)
     ]
     rounds = min(arguments.rounds, len(windows))
-    review = AcceptAll() if arguments.review == "accept-all" else ThresholdReview()
     loop = RefinementLoop(
         ReplayEnvironment(windows[:rounds]),
         bundle.store.clone(),
@@ -878,6 +862,12 @@ def _simulate_corpus_replay(arguments: argparse.Namespace) -> int:
         review,
     )
     result = loop.run(rounds)
+    _print_rounds(result, f"corpus replay ({spec.name}, {arguments.review} review)")
+    return 0
+
+
+def _print_rounds(result, title: str) -> None:
+    """Print a loop run's round-by-round trajectory."""
     print(
         format_table(
             ["round", "entries", "exc-rate", "entry-cov", "accepted", "store"],
@@ -887,10 +877,9 @@ def _simulate_corpus_replay(arguments: argparse.Namespace) -> int:
                  r.store_size_after]
                 for r in result.rounds
             ],
-            title=f"corpus replay ({spec.name}, {arguments.review} review)",
+            title=title,
         )
     )
-    return 0
 
 
 def _open_store(directory: str):

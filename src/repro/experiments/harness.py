@@ -110,21 +110,13 @@ def run_refinement_loop(
     min_distinct_users: int = 2,
     refine_on_cumulative: bool = True,
     cumulative_log=None,
-    workers: int = 1,
 ) -> LoopResult:
     """Drive the closed loop for E3 (and its review-policy ablation).
 
     ``cumulative_log`` optionally supplies the history sink — pass a
     :class:`~repro.store.durable.DurableAuditLog` to persist every round's
-    traffic and refine straight off disk (the CLI's ``--store-dir``).
-    ``workers > 1`` shards every round's refine across a process pool
-    (:mod:`repro.parallel`); results are identical to the serial loop.
+    traffic (the CLI's ``--store-dir``).
     """
-    execution = None
-    if workers > 1:
-        from repro.parallel.execution import ExecutionPolicy
-
-        execution = ExecutionPolicy(workers=workers)
     loop = RefinementLoop(
         environment=setup.environment,
         store=setup.store,
@@ -134,7 +126,6 @@ def run_refinement_loop(
             mining=MiningConfig(
                 min_support=min_support, min_distinct_users=min_distinct_users
             ),
-            execution=execution,
         ),
         refine_on_cumulative=refine_on_cumulative,
         cumulative_log=cumulative_log,

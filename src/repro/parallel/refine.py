@@ -6,7 +6,8 @@ in-process as one shard, more map one shard each on a process pool.
 Either way the trail is read once.  The partials fold into one
 :class:`TrailAggregate`, whose :meth:`~TrailAggregate.finish` runs the
 rest of the round.  The refinement daemon keeps the same aggregate
-across polls and finishes it at each mining round.
+across polls and finishes it at each mining round; the offline loop
+extends one per window through :func:`fold_and_finish`.
 
 The result equals the paper's literal pipeline (the test oracle) because
 partials are exact (counts add, user sets union), the global thresholds
@@ -53,8 +54,8 @@ EVIDENCE_LIMIT: int = 16
 
 
 @dataclass(frozen=True)
-class TrailRound:
-    """What :meth:`TrailAggregate.finish` yields for one round."""
+class TrailCoverage:
+    """What :meth:`TrailAggregate.cover` yields for one policy."""
 
     #: every rule key -> its lifted rule and ground mask
     lifted: dict[GroupKey, tuple[Rule, int]]
@@ -62,14 +63,20 @@ class TrailRound:
     entries: int
     #: the rule keys the policy does not cover -> their entry counts
     uncovered: dict[GroupKey, int]
-    suspected: frozenset
-    patterns: tuple[Pattern, ...]
-    prune: PruneResult
 
     @property
     def entry_ratio(self) -> float:
         """The share of folded entries whose rule the policy covers."""
         return (self.entries - sum(self.uncovered.values())) / self.entries
+
+
+@dataclass(frozen=True)
+class TrailRound(TrailCoverage):
+    """What :meth:`TrailAggregate.finish` yields for one round."""
+
+    suspected: frozenset
+    patterns: tuple[Pattern, ...]
+    prune: PruneResult
 
 
 @dataclass
@@ -139,6 +146,32 @@ class TrailAggregate:
             and not (config.trust_regular_echo and key in echoed)
         )
 
+    def cover(
+        self,
+        policy: Policy,
+        vocabulary: Vocabulary,
+        grounder: Grounder,
+        attributes: tuple[str, ...],
+        name: str = "audit_log",
+    ) -> TrailCoverage:
+        """The head of :meth:`finish`: lift the folded rule keys, take
+        ``policy``'s set coverage of ``P_AL(name)``, keep the keys it
+        leaves uncovered."""
+        lifted = grounder.lift(attributes, self.rules)
+        audit_policy = Policy(
+            (rule for rule, _ in lifted.values()),
+            source=PolicySource.AUDIT_LOG,
+            name=f"P_AL({name})",
+        )
+        coverage = compute_coverage(policy, audit_policy, vocabulary, grounder)
+        covering = coverage.covering.mask
+        uncovered = {
+            values: count
+            for values, count in self.rules.items()
+            if lifted[values][1] & ~covering
+        }
+        return TrailCoverage(lifted, coverage, sum(self.rules.values()), uncovered)
+
     def finish(
         self,
         policy: Policy,
@@ -149,27 +182,14 @@ class TrailAggregate:
         classifier: ClassifierConfig | None = None,
         name: str = "audit_log",
     ) -> TrailRound:
-        """Everything after the fold: lift and set coverage, the
-        uncovered rules, the suspected set (when ``classifier`` screens),
-        the patterns under the global thresholds in ``miner``'s order
-        (``"sql"`` or ``"apriori"``), then Prune against ``policy``.
-        ``name`` names the trail in ``P_AL(name)``."""
+        """Everything after the fold: :meth:`cover`, the suspected set
+        (when ``classifier`` screens), the patterns under the global
+        thresholds in ``miner``'s order (``"sql"`` or ``"apriori"``),
+        then Prune against ``policy``."""
         attributes = mining.attributes
         reg = get_registry()
         with reg.span("repro_refinement_stage", stage="coverage"):
-            lifted = grounder.lift(attributes, self.rules)
-            audit_policy = Policy(
-                (rule for rule, _ in lifted.values()),
-                source=PolicySource.AUDIT_LOG,
-                name=f"P_AL({name})",
-            )
-            coverage = compute_coverage(policy, audit_policy, vocabulary, grounder)
-            covering = coverage.covering.mask
-            uncovered = {
-                values: count
-                for values, count in self.rules.items()
-                if lifted[values][1] & ~covering
-            }
+            head = self.cover(policy, vocabulary, grounder, attributes, name)
 
         with reg.span("repro_refinement_stage", stage="extract"):
             suspected: frozenset = frozenset()
@@ -185,20 +205,44 @@ class TrailAggregate:
                 groups,
                 mining,
                 apriori_pattern_order if miner == "apriori" else None,
-                rule_of=lambda values: lifted[values][0],
+                rule_of=lambda values: head.lifted[values][0],
             )
 
         with reg.span("repro_refinement_stage", stage="prune"):
             prune = prune_patterns(patterns, policy, vocabulary, grounder)
         return TrailRound(
-            lifted=lifted,
-            coverage=coverage,
-            entries=sum(self.rules.values()),
-            uncovered=uncovered,
-            suspected=suspected,
-            patterns=patterns,
-            prune=prune,
+            **vars(head), suspected=suspected, patterns=patterns, prune=prune
         )
+
+
+def map_plan(cfg: RefinementConfig) -> tuple[MapTask, ClassifierConfig | None]:
+    """The map task Algorithm 2 folds a trail with under ``cfg``, and the
+    classifier its finish screens with (None: no screening)."""
+    screened = cfg.exclude_suspected_violations
+    collect_regular = screened and cfg.classify_scope == "log"
+    task = MapTask(cfg.mining.attributes, cfg.include_denied, screened, collect_regular)
+    return task, (cfg.classifier or ClassifierConfig()) if screened else None
+
+
+def fold_and_finish(
+    aggregate: TrailAggregate,
+    entries,
+    policy: Policy,
+    vocabulary: Vocabulary,
+    config: RefinementConfig,
+    grounder: Grounder | None = None,
+) -> TrailRound:
+    """Map the in-memory ``entries`` as one shard, fold them into
+    ``aggregate`` after everything folded so far, and finish it against
+    ``policy``: Algorithm 2 over the aggregate's whole trail."""
+    task, classifier = map_plan(config)
+    with get_registry().span("repro_refinement_stage", stage="filter"):
+        (shard,) = shards_of(entries, 1)
+        aggregate.fold(map_shard(shard, task), base=sum(aggregate.rules.values()))
+    grounder = grounder_for(vocabulary, grounder)
+    return aggregate.finish(
+        policy, vocabulary, grounder, config.mining, config.miner, classifier
+    )
 
 
 def _global_positions(
@@ -227,20 +271,12 @@ def parallel_refine(
     workers = cfg.execution.workers if cfg.execution is not None else 1
     miner = cfg.miner
     grounder = grounder_for(vocabulary, grounder)
-    attributes = cfg.mining.attributes
-    screened = cfg.exclude_suspected_violations
-    classifier = (cfg.classifier or ClassifierConfig()) if screened else None
     name = getattr(audit_log, "name", "audit_source")
 
     reg = get_registry()
     with reg.span("repro_refinement_stage", stage="filter"):
         shards = shards_of(audit_log, workers)
-        task = MapTask(
-            attributes=attributes,
-            include_denied=cfg.include_denied,
-            exclude_suspected=screened,
-            collect_regular=screened and cfg.classify_scope == "log",
-        )
+        task, classifier = map_plan(cfg)
         if workers == 1:
             partials, mode = map_in_process(map_shard, shards, task)
         else:

@@ -65,7 +65,8 @@ class RefinementConfig:
     sets the worker count of the refinement kernel
     (:mod:`repro.parallel`): ``None`` or ``ExecutionPolicy(workers=1)``
     maps the trail as one in-process shard, ``ExecutionPolicy(workers=N)``
-    shards it over a process pool.
+    shards it over a process pool; the offline loop, which folds each
+    window in-process, ignores it.
     """
 
     mining: MiningConfig = field(default_factory=MiningConfig)

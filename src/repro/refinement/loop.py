@@ -7,6 +7,10 @@ drives that cycle against any traffic source implementing
 :class:`ClinicalEnvironment` (the synthetic hospital in
 :mod:`repro.workload` is the main one) and records a
 :class:`RoundReport` per round — the data series behind experiment E3.
+
+Like the refinement daemon, the loop folds each window once into a
+residual :class:`~repro.parallel.refine.TrailAggregate`, so no round
+reads the history again.
 """
 
 from __future__ import annotations
@@ -18,15 +22,14 @@ from typing import TYPE_CHECKING, Protocol
 from repro.audit.log import AuditLog
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.parallel.refine import TrailRound
     from repro.store.durable import DurableAuditLog
-from repro.coverage.engine import compute_coverage, grouped_entry_coverage
 from repro.errors import RefinementError
 from repro.obs.metrics import sample_delta
 from repro.obs.runtime import get_registry
 from repro.policy.grounding import Grounder
-from repro.policy.policy import Policy, PolicySource
 from repro.policy.store import PolicyStore
-from repro.refinement.engine import RefinementConfig, RefinementResult, refine
+from repro.refinement.engine import RefinementConfig
 from repro.refinement.review import ReviewPolicy
 from repro.vocab.vocabulary import Vocabulary
 
@@ -62,7 +65,8 @@ class RoundReport:
     patterns_useful: int
     rules_accepted: int
     store_size_after: int
-    refinement: RefinementResult
+    #: the round's finish before review
+    refinement: "TrailRound"
     #: what this round contributed to every monotone telemetry sample
     #: (counter values, span-histogram counts/sums) under the registry
     #: active when the loop ran; empty under the null registry.  This is
@@ -118,11 +122,9 @@ class RefinementLoop:
         self.vocabulary = vocabulary
         self.review = review
         self.config = config or RefinementConfig()
-        #: where the loop accumulates audit history: any AuditLog-protocol
-        #: sink (a :class:`~repro.store.durable.DurableAuditLog` makes the
-        #: whole loop run off disk — appends are crash-safe and refinement
-        #: streams the history instead of holding it in RAM).  None means
-        #: a fresh in-memory log per :meth:`run`.
+        #: where the loop writes its audit history, never reading it back:
+        #: any AuditLog-protocol sink (a ``DurableAuditLog`` persists it),
+        #: or None for a fresh in-memory log per :meth:`run`.
         self.cumulative_log = cumulative_log
         # One grounder for the life of the loop: the store mostly persists
         # between rounds, so expansions memoised (and range masks interned)
@@ -137,6 +139,10 @@ class RefinementLoop:
         """Drive the loop for ``rounds`` intervals."""
         if rounds < 1:
             raise RefinementError(f"the loop needs at least one round, got {rounds}")
+        # imported here, as refine() does, so importing the loop does not
+        # pull in the process pool
+        from repro.parallel.refine import TrailAggregate, fold_and_finish
+
         cumulative = (
             self.cumulative_log
             if self.cumulative_log is not None
@@ -154,17 +160,15 @@ class RefinementLoop:
                         f"environment produced no audit entries in round {round_index}"
                     )
                 cumulative.extend(window)
-                target = cumulative if self.refine_on_cumulative else window
-                result = refine(
-                    self.store.policy(),
-                    target,
-                    self.vocabulary,
-                    self.config,
-                    grounder=self._grounder,
+                if round_index == 0 or not self.refine_on_cumulative:
+                    aggregate = TrailAggregate()
+                result = fold_and_finish(
+                    aggregate, window, self.store.policy(), self.vocabulary,
+                    self.config, self._grounder,
                 )
                 accepted = 0
                 with reg.span("repro_refinement_stage", stage="review"):
-                    for pattern in result.useful_patterns:
+                    for pattern in result.prune.useful:
                         if self.review.accept(pattern):
                             accepted += self.store.add(
                                 pattern.rule,
@@ -172,8 +176,13 @@ class RefinementLoop:
                                 origin="refinement",
                                 note=f"round={round_index}, support={pattern.support}",
                             )
-                after = self._coverage_after(target)
+                after = aggregate.cover(
+                    self.store.policy(), self.vocabulary, self._grounder,
+                    self.config.mining.attributes,
+                )
             if reg.enabled:
+                # the round's entry coverage, before and after review
+                reg.counter("repro_coverage_computations_total", kind="entry").inc(2)
                 reg.counter("repro_refinement_rounds_total").inc()
                 reg.counter("repro_refinement_rules_accepted_total").inc(accepted)
                 reg.counter("repro_refinement_entries_total").inc(len(window))
@@ -187,8 +196,9 @@ class RefinementLoop:
                     "round=%d entries=%d exception_rate=%.3f coverage_after=%.3f "
                     "entry_coverage_after=%.3f patterns_mined=%d accepted=%d "
                     "store_size=%d",
-                    round_index, len(window), window.exception_rate(), after[0],
-                    after[1], len(result.patterns), accepted, len(self.store),
+                    round_index, len(window), window.exception_rate(),
+                    after.coverage.ratio, after.entry_ratio, len(result.patterns),
+                    accepted, len(self.store),
                 )
             reports.append(
                 RoundReport(
@@ -196,11 +206,11 @@ class RefinementLoop:
                     entries=len(window),
                     exception_rate=window.exception_rate(),
                     coverage_before=result.coverage.ratio,
-                    coverage_after=after[0],
-                    entry_coverage_before=result.entry_coverage.ratio,
-                    entry_coverage_after=after[1],
+                    coverage_after=after.coverage.ratio,
+                    entry_coverage_before=result.entry_ratio,
+                    entry_coverage_after=after.entry_ratio,
                     patterns_mined=len(result.patterns),
-                    patterns_useful=len(result.useful_patterns),
+                    patterns_useful=len(result.prune.useful),
                     rules_accepted=accepted,
                     store_size_after=len(self.store),
                     refinement=result,
@@ -210,38 +220,3 @@ class RefinementLoop:
         return LoopResult(
             rounds=tuple(reports), store=self.store, cumulative_log=cumulative
         )
-
-    def _coverage_after(self, log: "AuditLog | DurableAuditLog") -> tuple[float, float]:
-        """Set and entry coverage of the amended store over ``log``,
-        computed on the log's distinct rule keys: each is lifted and
-        grounded once, and entry coverage merges the positions of the
-        uncovered ones."""
-        # imported here, as refine() does, so importing the loop does not
-        # pull in the process pool
-        from repro.parallel.partials import key_of
-
-        attributes = self.config.mining.attributes
-        key = key_of(attributes)
-        positions: dict[tuple[str, ...], list[int]] = {}
-        for index, entry in enumerate(log):
-            positions.setdefault(key(entry), []).append(index)
-        lifted = self._grounder.lift(attributes, positions)
-        audit_policy = Policy(
-            (rule for rule, _ in lifted.values()),
-            source=PolicySource.AUDIT_LOG,
-            name=f"P_AL({log.name})",
-        )
-        set_report = compute_coverage(
-            self.store.policy(), audit_policy, self.vocabulary, self._grounder
-        )
-        covering = set_report.covering.mask
-        entry_report = grouped_entry_coverage(
-            set_report.covering,
-            (
-                positions[values]
-                for values, (_, mask) in lifted.items()
-                if mask & ~covering
-            ),
-            sum(map(len, positions.values())),
-        )
-        return set_report.ratio, entry_report.ratio

@@ -9,6 +9,12 @@ identity suites, E2 and E17 compare the two with
 :func:`assert_identical`; :func:`assert_round_identical` compares it
 with one ``TrailAggregate.finish``.
 
+:func:`reference_loop` is the offline refinement loop as a full re-read
+per round: ``refine()`` over the whole target log, then the log grouped
+and lifted again for the coverage after review.  ``RefinementLoop``
+folds each window once into a residual aggregate instead;
+``tests/test_refinement_loop_aggregate.py`` holds the two equal.
+
 :func:`reference_decode` is the store codec's validating decode: every
 record goes through the ``AuditEntry`` constructor.  The codec decodes
 through a per-segment record memo instead; ``tests/test_store_codec.py``
@@ -38,15 +44,23 @@ import re
 import struct
 
 from repro.audit.entry import AuditEntry
+from repro.audit.log import AuditLog
 from repro.audit.schema import AccessOp, AccessStatus
-from repro.coverage.engine import compute_coverage, compute_entry_coverage
+from repro.coverage.engine import (
+    compute_coverage,
+    compute_entry_coverage,
+    grouped_entry_coverage,
+)
 from repro.errors import AuditError, StoreError, VocabularyError
 from repro.mining.apriori import AprioriPatternMiner
 from repro.mining.sql_patterns import SqlPatternMiner
+from repro.parallel.partials import key_of
 from repro.policy.grounding import Grounder
+from repro.policy.policy import Policy, PolicySource
 from repro.policy.rule import Rule
-from repro.refinement.engine import RefinementConfig, RefinementResult
+from repro.refinement.engine import RefinementConfig, RefinementResult, refine
 from repro.refinement.filtering import filter_practice
+from repro.refinement.loop import LoopResult, RoundReport
 from repro.refinement.prune import prune_patterns
 
 #: each of ``refine()``'s miner names -> the literal miner it stands for
@@ -222,3 +236,82 @@ def assert_round_identical(
     assert trail.entries == expected.entry_coverage.total
     assert trail.entry_ratio == expected.entry_coverage.ratio
     assert list(trail.uncovered.items()) == list(uncovered.items())
+
+
+def _reference_coverage_after(store, log, vocabulary, grounder, attributes):
+    """Set and entry coverage of ``store`` over ``log``: the log grouped
+    by rule key, each key lifted once, the uncovered keys' positions
+    merged."""
+    key = key_of(attributes)
+    positions: dict = {}
+    for index, entry in enumerate(log):
+        positions.setdefault(key(entry), []).append(index)
+    lifted = grounder.lift(attributes, positions)
+    audit_policy = Policy(
+        (rule for rule, _ in lifted.values()),
+        source=PolicySource.AUDIT_LOG,
+        name=f"P_AL({log.name})",
+    )
+    set_report = compute_coverage(store.policy(), audit_policy, vocabulary, grounder)
+    covering = set_report.covering.mask
+    entry_report = grouped_entry_coverage(
+        set_report.covering,
+        (positions[values] for values, (_, mask) in lifted.items() if mask & ~covering),
+        sum(map(len, positions.values())),
+    )
+    return set_report.ratio, entry_report.ratio
+
+
+def reference_loop(
+    environment,
+    store,
+    vocabulary,
+    review,
+    rounds: int,
+    config: RefinementConfig | None = None,
+    refine_on_cumulative: bool = True,
+    cumulative_log=None,
+) -> LoopResult:
+    """``RefinementLoop(...).run(rounds)`` re-reading its target log each
+    round; each report's ``refinement`` is the round's
+    :class:`RefinementResult` and its ``metrics`` stay empty."""
+    cfg = config or RefinementConfig()
+    grounder = Grounder(vocabulary)
+    cumulative = cumulative_log if cumulative_log is not None else AuditLog(
+        name="cumulative"
+    )
+    reports = []
+    for round_index in range(rounds):
+        window = environment.simulate_round(round_index, store)
+        cumulative.extend(window)
+        target = cumulative if refine_on_cumulative else window
+        result = refine(store.policy(), target, vocabulary, cfg, grounder=grounder)
+        accepted = 0
+        for pattern in result.useful_patterns:
+            if review.accept(pattern):
+                accepted += store.add(
+                    pattern.rule,
+                    added_by="loop-review",
+                    origin="refinement",
+                    note=f"round={round_index}, support={pattern.support}",
+                )
+        after = _reference_coverage_after(
+            store, target, vocabulary, grounder, cfg.mining.attributes
+        )
+        reports.append(
+            RoundReport(
+                round_index=round_index,
+                entries=len(window),
+                exception_rate=window.exception_rate(),
+                coverage_before=result.coverage.ratio,
+                coverage_after=after[0],
+                entry_coverage_before=result.entry_coverage.ratio,
+                entry_coverage_after=after[1],
+                patterns_mined=len(result.patterns),
+                patterns_useful=len(result.useful_patterns),
+                rules_accepted=accepted,
+                store_size_after=len(store),
+                refinement=result,
+            )
+        )
+    return LoopResult(rounds=tuple(reports), store=store, cumulative_log=cumulative)

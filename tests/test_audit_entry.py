@@ -43,6 +43,31 @@ class TestConstruction:
         with pytest.raises(AuditError):
             _entry(time=-1)
 
+    @pytest.mark.parametrize("time", (1.5, 2.0, "3", None, True))
+    def test_non_integer_time_rejected(self, time):
+        with pytest.raises(AuditError, match="must be an integer"):
+            _entry(time=time)
+
+    @pytest.mark.parametrize("time", (1.5, "3", None))
+    def test_non_integer_time_rejected_per_request(self, time):
+        with pytest.raises(AuditError, match="must be an integer"):
+            AuditEntry.for_categories(
+                time, AccessOp.ALLOW, "mark", ("referral", "name"),
+                "registration", "nurse", AccessStatus.EXCEPTION,
+            )
+
+    def test_non_integer_time_never_reaches_a_durable_store(self, tmp_path):
+        from repro.store.durable import DurableAuditLog
+
+        log = DurableAuditLog(tmp_path / "trail")
+        try:
+            with pytest.raises(AuditError):
+                log.append(_entry(time=1.5))
+            log.append(_entry(time=2))
+            assert [entry.time for entry in log] == [2]
+        finally:
+            log.close()
+
     def test_empty_field_rejected(self):
         with pytest.raises(AuditError):
             _entry(user="  ")

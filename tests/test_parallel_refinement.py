@@ -581,28 +581,3 @@ class TestPool:
 
         results, mode = run_sharded(local_worker, shards, None, workers=2)
         assert sum(results) == 10
-
-
-# ----------------------------------------------------------------------
-# loop integration
-# ----------------------------------------------------------------------
-class TestLoopIntegration:
-    def test_loop_with_workers_matches_serial_loop(self):
-        from repro.experiments.harness import run_refinement_loop, standard_loop_setup
-        from repro.refinement.review import ThresholdReview
-
-        serial = run_refinement_loop(
-            standard_loop_setup(accesses_per_round=800, seed=5),
-            ThresholdReview(), rounds=2,
-        )
-        parallel = run_refinement_loop(
-            standard_loop_setup(accesses_per_round=800, seed=5),
-            ThresholdReview(), rounds=2, workers=2,
-        )
-        assert serial.coverage_series() == parallel.coverage_series()
-        assert [r.rules_accepted for r in serial.rounds] == [
-            r.rules_accepted for r in parallel.rounds
-        ]
-        assert sorted(map(str, serial.store.policy())) == sorted(
-            map(str, parallel.store.policy())
-        )

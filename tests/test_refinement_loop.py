@@ -110,7 +110,7 @@ class TestLoopDynamics:
         report = result.rounds[0]
         assert report.entries == 7
         assert report.patterns_mined == 1
-        assert report.refinement.useful_patterns[0].support == 6
+        assert report.refinement.prune.useful[0].support == 6
 
     def test_coverage_series_shape(self):
         result = _loop(AcceptAll()).run(3)
