@@ -26,13 +26,19 @@ def canonical_field(attribute: str, value: object) -> str:
     return canonical(value)
 
 
+#: One past the largest audit time: the store codec packs times as ``<Q``.
+TIME_LIMIT: int = 2**64
+
+
 def _check_time(time: object) -> None:
-    """Raise :class:`~repro.errors.AuditError` unless ``time`` is a
-    non-negative ``int`` other than a ``bool``."""
+    """Raise :class:`~repro.errors.AuditError` unless ``time`` is an
+    ``int`` other than a ``bool`` in ``[0, TIME_LIMIT)``."""
     if not isinstance(time, int) or isinstance(time, bool):
         raise AuditError(f"audit time must be an integer, got {time!r}")
     if time < 0:
         raise AuditError(f"audit time must be non-negative, got {time}")
+    if time >= TIME_LIMIT:
+        raise AuditError(f"audit time must be below 2**64, got {time}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,12 +80,12 @@ class AuditEntry:
 
         ``fields`` is ``(op, user, data, purpose, authorized, status,
         truth)``, the entry's fields after ``time`` in the record payload's
-        order.  The caller vouches for the invariant: ``time`` is
-        a non-negative int, ``op``/``status`` are enum members, and the four
-        attributes came out of :func:`canonical_field`.  Two callers do:
-        the store codec, for records the store wrote and CRC-checked, and
-        :meth:`for_categories`, after checking each field once.  The
-        fields are set through the slot descriptors, which bypass the
+        order.  The caller vouches for the invariant: ``time`` is an
+        int in ``[0, TIME_LIMIT)``, ``op``/``status`` are enum members, and
+        the four attributes came out of :func:`canonical_field`.  Two
+        callers do: the store codec, for records the store wrote and
+        CRC-checked, and :meth:`for_categories`, after checking each field
+        once.  The fields are set through the slot descriptors, which bypass the
         frozen ``__setattr__`` without the ``object.__setattr__`` lookup.
         """
         entry = _new(cls)

@@ -280,6 +280,9 @@ class RefineDaemon:
         self._task = tail_task(self.config.mining.attributes)
         #: the state file's bytes as this daemon last read or wrote them
         self._state_bytes: bytes | None = None
+        #: each accepted candidate's DSL parsed once (reconcile runs on
+        #: every poll)
+        self._parsed: dict[str, Rule] = {}
         self._resume()  # loads ``state`` and builds ``_tracker``
         #: set while a poll runs; still set at the next poll when one
         #: failed part-way, with merges the state file never saw
@@ -328,11 +331,14 @@ class RefineDaemon:
         idempotent, so replaying the whole accepted ledger is safe.
         """
         store = self.target.current_store()
-        backlog = [
-            parse_rule(candidate.rule)
-            for candidate in self.state.accepted
-            if parse_rule(candidate.rule) not in store
-        ]
+        parsed = self._parsed
+        backlog = []
+        for candidate in self.state.accepted:
+            rule = parsed.get(candidate.rule)
+            if rule is None:
+                rule = parsed[candidate.rule] = parse_rule(candidate.rule)
+            if rule not in store:
+                backlog.append(rule)
         if not backlog:
             return 0
         added = self.target.adopt(backlog, note="refine-daemon reconcile")

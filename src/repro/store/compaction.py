@@ -2,7 +2,9 @@
 
 Rotation keeps appends cheap but leaves a long chain of small sealed
 segments behind; compaction rewrites them into the fewest segments that
-respect the size bound, rebuilding indexes along the way.  The active
+respect the size bound, rebuilding indexes along the way (their sidecars
+are written next to the new segments; the replaced segments' sidecars,
+written or still pending in the store, are dropped).  The active
 segment is never touched, record order and content are preserved
 byte-for-byte at the entry level, and the swap is crash-safe: new
 segments are written and fsynced first, the manifest replacement is the
@@ -122,6 +124,7 @@ def compact_store(
     save_manifest(store.directory, store._manifest)
     store._index_cache.clear()
     for meta in old:
+        store._pending_sidecars.pop(meta.name, None)
         (store.directory / meta.name).unlink(missing_ok=True)
         index_path(store.directory / meta.name).unlink(missing_ok=True)
     if store._obs.enabled:

@@ -1,6 +1,6 @@
 """Per-segment indexes: hash lookups and sparse time seeks.
 
-Each sealed segment carries a JSON sidecar (``<segment>.idx.json``) with
+A sealed segment's index holds
 
 - a **hash index** per lookup attribute (``user``, ``data``, ``purpose``):
   value → sorted record byte offsets, for point lookups without a scan;
@@ -8,25 +8,30 @@ Each sealed segment carries a JSON sidecar (``<segment>.idx.json``) with
   (and always the first), so a window scan seeks close to ``start``
   instead of decoding the whole segment.
 
-Indexes are derivative — they can always be rebuilt from the segment —
-so they are written with the same atomic replace as the manifest but are
-*not* required for correctness: a missing sidecar downgrades reads to a
-segment scan.  The active segment keeps the same structure in memory
-(:class:`IndexBuilder`), fed record-by-record on append and replayed by
-recovery, so lookups cover unsealed data too.
+A sidecar is a **cache**, never part of a commit: recovery reads only
+the manifest and the segments, so a seal does not write one.  The store
+keeps a sealed segment's index in memory and writes its sidecar at
+``close()`` (compaction writes those of the segments it creates), with a
+plain temp-file rename and no fsync.  :func:`load_index` trusts a
+sidecar only once it parses, has this format and holds the entry count
+the manifest records for its segment; anything else — missing after a
+crash, torn, garbage, stale — is rebuilt from the segment
+(:func:`build_index`).  The active segment keeps the same structure in
+memory (:class:`IndexBuilder`), fed record-by-record on append and
+replayed by recovery, so lookups cover unsealed data too.
 """
 
 from __future__ import annotations
 
 import bisect
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.audit.entry import AuditEntry
 from repro.errors import StoreError
 from repro.store.codec import HEADER_SIZE
-from repro.store.manifest import atomic_write_bytes
 
 #: The audit attributes hash-indexed per segment.
 INDEXED_ATTRIBUTES: tuple[str, ...] = ("user", "data", "purpose")
@@ -100,7 +105,7 @@ class SegmentIndex:
             )
         except StoreError:
             raise
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise StoreError(f"malformed segment index: {exc}") from exc
 
 
@@ -139,24 +144,34 @@ def index_path(segment_path: str | Path) -> Path:
 
 
 def save_index(segment_path: str | Path, index: SegmentIndex) -> Path:
-    """Atomically write the sidecar index for a sealed segment."""
+    """Write the sidecar index for a sealed segment.
+
+    A temp file renamed over the target, so a reader sees the old or
+    the new file whole; nothing is fsynced, because :func:`load_index`
+    rebuilds whatever a crash leaves.
+    """
     target = index_path(segment_path)
-    atomic_write_bytes(
-        target, (json.dumps(index.to_dict(), sort_keys=True) + "\n").encode("utf-8")
+    temp = target.with_name(target.name + ".tmp")
+    temp.write_bytes(
+        (json.dumps(index.to_dict(), sort_keys=True) + "\n").encode("utf-8")
     )
+    os.replace(temp, target)
     return target
 
 
-def load_index(segment_path: str | Path) -> SegmentIndex | None:
-    """Load a segment's sidecar index; None when the sidecar is missing."""
-    source = index_path(segment_path)
-    if not source.exists():
-        return None
+def load_index(segment_path: str | Path, entries: int) -> SegmentIndex | None:
+    """A segment's sidecar index, or None when it cannot be trusted.
+
+    None when the sidecar is missing, is not valid JSON of this format,
+    or indexes a count other than ``entries`` (the manifest's for the
+    segment); the caller then rebuilds it from the segment.
+    """
     try:
-        payload = json.loads(source.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise StoreError(f"{source} is not valid JSON: {exc}") from exc
-    return SegmentIndex.from_dict(payload)
+        payload = json.loads(index_path(segment_path).read_bytes())
+        index = SegmentIndex.from_dict(payload)
+    except (OSError, ValueError, StoreError):
+        return None
+    return index if index.entries == entries else None
 
 
 def build_index(

@@ -134,10 +134,13 @@ def manifest_path(directory: str | Path) -> Path:
 
 
 def save_manifest(directory: str | Path, manifest: Manifest) -> None:
-    """Atomically replace the manifest of the store at ``directory``."""
-    data = (json.dumps(manifest.to_dict(), indent=2, sort_keys=True) + "\n").encode(
-        "utf-8"
-    )
+    """Atomically replace the manifest of the store at ``directory``.
+
+    One line of sorted-key JSON: every seal rewrites the whole manifest,
+    and ``indent`` would force :mod:`json`'s pure-Python encoder.  The
+    reader takes any layout, so manifests written indented still load.
+    """
+    data = (json.dumps(manifest.to_dict(), sort_keys=True) + "\n").encode("utf-8")
     atomic_write_bytes(manifest_path(directory), data)
 
 

@@ -6,8 +6,12 @@ audit log:
 - appends go to one bounded **active segment** (length-prefixed, CRC32'd
   records — :mod:`repro.store.codec`), rotated by size or entry count;
 - sealed segments are immutable and listed in ``MANIFEST.json``, replaced
-  atomically (:mod:`repro.store.manifest`), each with a sidecar hash +
-  sparse-time index (:mod:`repro.store.index`);
+  atomically (:mod:`repro.store.manifest`); a seal fsyncs the segment and
+  commits the manifest, nothing else;
+- each sealed segment's hash + sparse-time index (:mod:`repro.store.index`)
+  stays in memory and reaches its sidecar file at ``close()``; a sidecar
+  is a cache that a reopened store checks against the manifest and
+  rebuilds from the segment when it is missing, torn or stale;
 - opening an existing directory runs **recovery**: the active segment is
   scanned record-by-record and a torn tail (a crash mid-write) is
   truncated back to the last checksum-valid frame, so every fully
@@ -196,6 +200,9 @@ class AuditStore:
         self._append_listeners: tuple[weakref.ref, ...] = ()
         self._since_sync = 0
         self._index_cache: dict[str, SegmentIndex] = {}
+        #: indexes of segments sealed since open whose sidecar ``close()``
+        #: writes (compaction drops those of the segments it replaces)
+        self._pending_sidecars: dict[str, SegmentIndex] = {}
         self._obs = get_registry()
         self._reported = (0, 0, 0, 0)
         self.last_recovery: RecoveryReport | None = None
@@ -362,15 +369,20 @@ class AuditStore:
     def _seal_active(self) -> None:
         """Seal the active segment and open a fresh one.
 
-        Seals are always durable: the data is fsynced and the index
-        written before the manifest atomically promotes the segment, so a
-        crash anywhere in the sequence leaves a recoverable store.
+        Seals are always durable: the data is fsynced before the manifest
+        atomically promotes the segment, so a crash anywhere in the
+        sequence leaves a recoverable store.  The segment's index stays in
+        memory and its sidecar waits for ``close()``.
         """
         writer = self._writer
         writer.flush(sync=True)
         self._flushes += 1
-        save_index(writer.path, self._builder.index)
+        # A sidecar already under this name is an orphan of a compaction
+        # that crashed before its commit; the manifest commit's directory
+        # fsync makes the unlink durable.
+        index_path(writer.path).unlink(missing_ok=True)
         self._index_cache[writer.name] = self._builder.index
+        self._pending_sidecars[writer.name] = self._builder.index
         meta = SegmentMeta(
             name=writer.name,
             entries=writer.entries,
@@ -462,7 +474,8 @@ class AuditStore:
     # lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Flush (durably unless ``fsync='off'``) and release the file handle."""
+        """Flush (durably unless ``fsync='off'``), release the file handle
+        and write the sidecar index of each segment sealed since open."""
         if self._closed:
             return
         synced = self.config.fsync != "off"
@@ -470,6 +483,9 @@ class AuditStore:
         if synced:
             self._flushes += 1
         self._closed = True
+        pending, self._pending_sidecars = self._pending_sidecars, {}
+        for name, index in pending.items():
+            save_index(self.directory / name, index)
 
     def __enter__(self) -> "AuditStore":
         """Context-manager entry: the store itself."""
@@ -539,8 +555,7 @@ class AuditStore:
                 continue
             if meta.first_time is not None and meta.first_time >= end:
                 return
-            index = self._segment_index(meta)
-            offset = index.seek_offset(start) if index is not None else HEADER_SIZE
+            offset = self._segment_index(meta).seek_offset(start)
             for entry in iter_segment(self.directory / meta.name, offset):
                 if entry.time >= end:
                     return
@@ -586,10 +601,7 @@ class AuditStore:
             return sorted(common)
 
         for meta in self._manifest.sealed:
-            index = self._segment_index(meta)
-            if index is None:
-                continue
-            offsets = matching_offsets(index)
+            offsets = matching_offsets(self._segment_index(meta))
             if not offsets:
                 continue
             memo = RecordMemo()
@@ -636,17 +648,17 @@ class AuditStore:
                 return meta.first_time
         return self._writer.first_time
 
-    def _segment_index(self, meta: SegmentMeta) -> SegmentIndex | None:
+    def _segment_index(self, meta: SegmentMeta) -> SegmentIndex:
         cached = self._index_cache.get(meta.name)
         if cached is not None:
             return cached
-        index = load_index(self.directory / meta.name)
+        path = self.directory / meta.name
+        index = load_index(path, meta.entries)
         if index is None:
-            # Sidecar lost (they are derivative): rebuild from the segment.
-            index = build_index(
-                self.directory / meta.name, self.config.time_index_stride
-            )
-            save_index(self.directory / meta.name, index)
+            # No sidecar to trust (a crash before close, a torn or stale
+            # file): rebuild it from the segment and cache it again.
+            index = build_index(path, self.config.time_index_stride)
+            save_index(path, index)
         self._index_cache[meta.name] = index
         return index
 

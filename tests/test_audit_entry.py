@@ -56,6 +56,30 @@ class TestConstruction:
                 "registration", "nurse", AccessStatus.EXCEPTION,
             )
 
+    def test_time_past_the_codec_range_rejected(self):
+        assert _entry(time=2**64 - 1).time == 2**64 - 1
+        with pytest.raises(AuditError, match="below 2\\*\\*64"):
+            _entry(time=2**64)
+
+    def test_time_past_the_codec_range_rejected_per_request(self):
+        with pytest.raises(AuditError, match="below 2\\*\\*64"):
+            AuditEntry.for_categories(
+                2**64, AccessOp.ALLOW, "mark", ("referral", "name"),
+                "registration", "nurse", AccessStatus.EXCEPTION,
+            )
+
+    def test_largest_time_round_trips_a_durable_store(self, tmp_path):
+        from repro.store.durable import DurableAuditLog
+
+        log = DurableAuditLog(tmp_path / "trail")
+        try:
+            with pytest.raises(AuditError):
+                log.append(_entry(time=2**64))
+            log.append(_entry(time=2**64 - 1))
+            assert [entry.time for entry in log] == [2**64 - 1]
+        finally:
+            log.close()
+
     def test_non_integer_time_never_reaches_a_durable_store(self, tmp_path):
         from repro.store.durable import DurableAuditLog
 

@@ -402,6 +402,34 @@ class TestReviewGateModes:
         assert parse_rule(candidate.rule) in setup.store
         log.close()
 
+    def test_retired_accepted_rule_is_adopted_again_parsed_once(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.refine_daemon.daemon as daemon_module
+
+        parsed: list[str] = []
+
+        def counting_parse(dsl):
+            parsed.append(dsl)
+            return parse_rule(dsl)
+
+        monkeypatch.setattr(daemon_module, "parse_rule", counting_parse)
+        setup, daemon, log, _, _ = drive_daemon(tmp_path, rounds=2)
+        assert daemon.poll().reconciled == 0  # reconciles the last round
+        accepted = [candidate.rule for candidate in daemon.state.accepted]
+        assert accepted
+        # every poll checked the whole ledger; each DSL was parsed once
+        assert sorted(parsed) == sorted(set(accepted))
+        # an admin retires an adopted rule: the next poll adopts it again
+        rule = parse_rule(accepted[0])
+        assert setup.store.retire(rule)
+        report = daemon.poll()
+        assert report.reconciled == 1
+        assert rule in setup.store
+        assert daemon.poll().reconciled == 0
+        assert sorted(parsed) == sorted(set(accepted))
+        log.close()
+
     def test_cli_style_rejection_holds_from_the_next_poll(self, tmp_path):
         setup = standard_loop_setup(accesses_per_round=800, seed=7)
         log = DurableAuditLog(tmp_path / "trail")
