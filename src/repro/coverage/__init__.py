@@ -9,8 +9,10 @@ Public surface:
 - :func:`~repro.coverage.engine.completely_covers` — Definition 10.
 - :func:`~repro.coverage.gaps.analyse_gaps` — paper-style deviation
   explanations for every uncovered access.
-- :class:`~repro.coverage.incremental.IncrementalCoverage` — streaming
-  tracker for the refinement loop.
+
+The refinement loop's running coverage of a growing trail is
+:meth:`repro.parallel.refine.TrailAggregate.cover` over its folded rule
+counts.
 """
 
 from repro.coverage.engine import (
@@ -21,7 +23,6 @@ from repro.coverage.engine import (
     compute_entry_coverage,
 )
 from repro.coverage.gaps import Deviation, GapReport, analyse_gaps
-from repro.coverage.incremental import IncrementalCoverage
 from repro.coverage.trends import (
     AttributeCoverage,
     WindowPoint,
@@ -38,7 +39,6 @@ __all__ = [
     "Deviation",
     "EntryCoverageReport",
     "GapReport",
-    "IncrementalCoverage",
     "analyse_gaps",
     "completely_covers",
     "compute_coverage",

@@ -1,8 +1,8 @@
 """Ground-rule interning — dense integer IDs behind the bitset Range backend.
 
 Every stage of the refinement loop (Algorithm 1 coverage, Algorithm 6
-prune, gap analysis, the incremental tracker) reduces to set algebra over
-ground rules.  Hashing composite :class:`~repro.policy.rule.Rule`
+prune, gap analysis, the daemon's coverage-drop trigger) reduces to set
+algebra over ground rules.  Hashing composite :class:`~repro.policy.rule.Rule`
 dataclasses on every probe is what made that algebra expensive, so this
 module assigns each distinct ground rule a **dense integer ID**: a set of
 ground rules then becomes a Python ``int`` bitmask, and intersection /

@@ -2,8 +2,10 @@
 
 This package closes the loop the offline experiments only simulate: a
 daemon that tails the durable audit store incrementally behind a
-persisted watermark, mines candidate rules on a cadence or a
-coverage-drop trigger, routes them through a pluggable review gate
+persisted watermark, mines candidate rules on a cadence or when the
+policy's coverage of the trail it has folded drops (both read one
+:class:`~repro.parallel.refine.TrailAggregate` state), routes them
+through a pluggable review gate
 (automatic thresholds or a human queue driven by the
 ``repro refine-daemon`` CLI), and hot-swaps accepted rules into the
 serving snapshot without dropping in-flight requests.

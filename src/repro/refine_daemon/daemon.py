@@ -18,10 +18,10 @@ amend cycle into a background process over the live deployment:
   a poll merges that partial at seal instead of decoding the segment;
   any segment without a valid fed partial is read from its file.
 - mining **triggers** on a poll cadence, a wall-clock interval (under an
-  injected clock), or a coverage-drop threshold fed by the incremental
-  coverage engine (:class:`repro.coverage.incremental.IncrementalCoverage`),
-  which observes every tailed lifted rule's ground mask, with its entry
-  count, as it is consumed.
+  injected clock), or a coverage-drop threshold: the current policy's
+  entry coverage of the consumed trail, read off the state by
+  :meth:`~repro.parallel.refine.TrailAggregate.cover` — the head of the
+  finish that sets the figure it is compared with.
 - candidates pass a pluggable :class:`~repro.refine_daemon.gate.ReviewGate`;
   accepted rules **hot-swap** into the serving snapshot through a
   :class:`PolicyTarget` (the PR 5 copy-on-write admin path when embedded
@@ -48,7 +48,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Protocol
 
-from repro.coverage.incremental import IncrementalCoverage
 from repro.errors import DaemonError
 from repro.mining.patterns import MiningConfig
 from repro.obs import trace as obstrace
@@ -204,11 +203,12 @@ class DaemonConfig:
     ``mining`` carries the Algorithm 4/5 thresholds.  Mining triggers:
     ``mine_every_polls`` (0 disables the cadence), ``mine_interval``
     seconds on the injected ``clock``, and ``coverage_drop`` — mine when
-    the incremental entry coverage falls this far below the last mined
-    figure.  All triggers additionally require unmined consumed entries,
-    except ``coverage_drop`` which may re-mine the same region after a
-    policy regression.  ``entry_observer`` is a test hook called with
-    every consumed entry's lifted-rule values, in global append order.
+    the current policy's entry coverage of the consumed trail falls this
+    far below the last mined figure.  All triggers additionally require
+    unmined consumed entries, except ``coverage_drop`` which may re-mine
+    the same region after a policy regression.  ``entry_observer`` is a
+    test hook called with every consumed entry's lifted-rule values, in
+    global append order.
     """
 
     mining: MiningConfig = field(default_factory=MiningConfig)
@@ -283,7 +283,7 @@ class RefineDaemon:
         #: each accepted candidate's DSL parsed once (reconcile runs on
         #: every poll)
         self._parsed: dict[str, Rule] = {}
-        self._resume()  # loads ``state`` and builds ``_tracker``
+        self._resume()  # loads ``state``
         #: set while a poll runs; still set at the next poll when one
         #: failed part-way, with merges the state file never saw
         self._poll_failed = False
@@ -296,17 +296,6 @@ class RefineDaemon:
     # ------------------------------------------------------------------
     # resume plumbing
     # ------------------------------------------------------------------
-    def _build_tracker(self) -> IncrementalCoverage:
-        """Rebuild the incremental coverage engine from persisted state."""
-        tracker = IncrementalCoverage(self.vocabulary, grounder=self._grounder)
-        for rule in self.target.current_store().policy():
-            tracker.add_rule(rule)
-        rules = self.state.rules
-        lifted = self._grounder.lift(self.config.mining.attributes, rules)
-        for (_, mask), count in zip(lifted.values(), rules.values()):
-            tracker.observe_mask(mask, count)
-        return tracker
-
     def _reload_state(self) -> None:
         """Pick up out-of-band edits of the state file (CLI review
         decisions): re-parse it only when its bytes differ from what
@@ -317,11 +306,9 @@ class RefineDaemon:
             self._state_bytes = data
 
     def _resume(self) -> None:
-        """Drop all in-memory progress and resume from the state file:
-        re-read it and rebuild the coverage tracker from it."""
+        """Drop all in-memory progress and resume from the state file."""
         self._state_bytes = read_state_bytes(self._store.directory)
         self.state = load_state(self._store.directory)
-        self._tracker = self._build_tracker()
 
     def _reconcile(self) -> int:
         """Adopt accepted rules missing from the target (crash repair).
@@ -341,10 +328,7 @@ class RefineDaemon:
                 backlog.append(rule)
         if not backlog:
             return 0
-        added = self.target.adopt(backlog, note="refine-daemon reconcile")
-        for rule in backlog:
-            self._tracker.add_rule(rule)
-        return added
+        return self.target.adopt(backlog, note="refine-daemon reconcile")
 
     # ------------------------------------------------------------------
     # the poll cycle
@@ -362,8 +346,8 @@ class RefineDaemon:
             # already in memory, so every poll is still a
             # from-persisted-state resume — restarts are not a special case.
             # A poll that failed part-way may have merged partials into
-            # the state and tracker without saving them: resume from the
-            # file instead, as a restart would, so nothing counts twice.
+            # the state without saving them: resume from the file
+            # instead, as a restart would, so nothing counts twice.
             if self._poll_failed:
                 self._resume()
             else:
@@ -391,8 +375,6 @@ class RefineDaemon:
                     outcome["accepted"],
                     note=f"refine-daemon round={state.rounds - 1}",
                 )
-                for rule in outcome["accepted"]:
-                    self._tracker.add_rule(rule)
             report = PollReport(
                 poll_index=state.polls,
                 consumed=consumed,
@@ -496,9 +478,9 @@ class RefineDaemon:
         return merged
 
     def _merge_partial(self, partial: ShardPartial, base: int) -> None:
-        """Fold one shard's partial into the cumulative aggregate and the
-        coverage tracker; ``base``, the global index of the shard's first
-        entry, turns its exception positions into global evidence ids."""
+        """Fold one shard's partial into the cumulative aggregate;
+        ``base``, the global index of the shard's first entry, turns its
+        exception positions into global evidence ids."""
         observer = self.config.entry_observer
         if observer is not None:
             order: list = [None] * partial.entries
@@ -507,11 +489,11 @@ class RefineDaemon:
                     order[position] = values
             for values in order:
                 observer(values)
+        # Lift at the tail, not only at the mine: under a strict
+        # vocabulary an unknown trail value raises here, before the
+        # watermark moves past it, instead of failing every later mine.
+        self._grounder.lift(self.config.mining.attributes, partial.rule_entries)
         self.state.fold(partial, base)
-        rule_entries = partial.rule_entries
-        lifted = self._grounder.lift(self.config.mining.attributes, rule_entries)
-        for (_, mask), positions in zip(lifted.values(), rule_entries.values()):
-            self._tracker.observe_mask(mask, len(positions))
 
     def _mine_trigger(self, force: bool) -> str | None:
         """Which trigger (if any) fires a mining round this poll."""
@@ -533,14 +515,16 @@ class RefineDaemon:
             and self._clock() - self._last_mine_at >= cfg.mine_interval
         ):
             return "interval"
-        if (
-            cfg.coverage_drop is not None
-            and state.last_entry_coverage is not None
-            and self._tracker.total_entries > 0
-            and state.last_entry_coverage - self._tracker.entry_coverage()
-            >= cfg.coverage_drop
-        ):
-            return "coverage-drop"
+        if cfg.coverage_drop is not None and state.last_entry_coverage is not None:
+            current = state.cover(
+                self.target.current_store().policy(),
+                self.vocabulary,
+                self._grounder,
+                cfg.mining.attributes,
+                self.name,
+            ).entry_ratio
+            if state.last_entry_coverage - current >= cfg.coverage_drop:
+                return "coverage-drop"
         return None
 
     def _mine(self) -> dict:

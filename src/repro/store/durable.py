@@ -1,7 +1,7 @@
 """A disk-backed audit log satisfying the ``AuditLog`` read protocol.
 
 :class:`DurableAuditLog` looks like :class:`~repro.audit.log.AuditLog` to
-every consumer — the refinement engine and loop, the coverage trackers,
+every consumer — the refinement engine and loop, the coverage trends,
 the federation, the enforcement replay — but is backed by an
 :class:`~repro.store.store.AuditStore`, so appends are crash-safe and
 reads *stream* off disk instead of materialising the log.  Derived

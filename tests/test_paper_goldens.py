@@ -10,17 +10,36 @@ the bitset Range) must not be able to drift either of them:
   Nurse`` entries are one ground rule but five entries).
 
 Each number is asserted through :func:`compute_coverage`,
-:func:`compute_entry_coverage` *and* :class:`IncrementalCoverage`, so the
-batch engines and the streaming tracker cannot diverge from each other or
-from the paper.
+:func:`compute_entry_coverage` *and* :meth:`TrailAggregate.cover
+<repro.parallel.refine.TrailAggregate.cover>` — the incremental state the
+refinement daemon folds its trail into — so the batch engines and the
+daemon's coverage cannot diverge from each other or from the paper.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.audit.schema import RULE_ATTRIBUTES
 from repro.coverage.engine import compute_coverage, compute_entry_coverage
-from repro.coverage.incremental import IncrementalCoverage
+from repro.parallel.partials import map_shard
+from repro.parallel.refine import TrailAggregate
+from repro.parallel.shards import shards_of
+from repro.policy.grounding import Grounder
+from repro.policy.policy import Policy
+from repro.refine_daemon.daemon import tail_task
+from repro.workload.scenarios import expected_table1_pattern
+
+
+def cover(aggregate, policy, vocabulary):
+    """``policy``'s coverage of the trail folded into ``aggregate``."""
+    return aggregate.cover(policy, vocabulary, Grounder(vocabulary), RULE_ATTRIBUTES)
+
+
+def aggregate_of(log) -> TrailAggregate:
+    """``log`` mapped as one shard and folded, as the daemon folds it."""
+    (shard,) = shards_of(log, 1)
+    return TrailAggregate().fold(map_shard(shard, tail_task(RULE_ATTRIBUTES)))
 
 
 class TestFigure3Goldens:
@@ -48,14 +67,18 @@ class TestFigure3Goldens:
     def test_incremental_tracker_reaches_half(
         self, vocabulary, fig3_policy, fig3_audit
     ):
-        tracker = IncrementalCoverage(vocabulary, policy=fig3_policy)
-        for rule in fig3_audit:
-            tracker.observe(rule)
-        assert tracker.total_entries == 6
-        assert tracker.distinct_ground_entries == 6
-        assert tracker.matched_entries == 3
-        assert tracker.entry_coverage() == pytest.approx(0.5)
-        assert tracker.set_coverage() == pytest.approx(0.5)
+        # Figure 3(b)'s six ground rules, one entry each
+        aggregate = TrailAggregate(
+            rules={
+                tuple(rule.value_of(a) for a in RULE_ATTRIBUTES): 1
+                for rule in fig3_audit
+            }
+        )
+        head = cover(aggregate, fig3_policy, vocabulary)
+        assert head.entries == 6
+        assert len(head.uncovered) == 3
+        assert head.entry_ratio == pytest.approx(0.5)
+        assert head.coverage.ratio == pytest.approx(0.5)
 
 
 class TestTable1Goldens:
@@ -84,25 +107,26 @@ class TestTable1Goldens:
     def test_incremental_tracker_reports_both_semantics(
         self, vocabulary, fig3_policy, table1_log
     ):
-        tracker = IncrementalCoverage(vocabulary, policy=fig3_policy)
-        for entry in table1_log:
-            tracker.observe(entry.to_rule())
-        assert tracker.total_entries == 10
-        assert tracker.distinct_ground_entries == 6
-        assert tracker.matched_entries == 3
-        assert tracker.entry_coverage() == pytest.approx(0.3)
-        assert tracker.set_coverage() == pytest.approx(0.5)
+        head = cover(aggregate_of(table1_log), fig3_policy, vocabulary)
+        assert head.entries == 10
+        assert len(head.lifted) == 6
+        assert sum(head.uncovered.values()) == 7
+        assert head.entry_ratio == pytest.approx(0.3)
+        assert head.coverage.ratio == pytest.approx(0.5)
 
     def test_incremental_retroactive_credit_matches_batch(
         self, vocabulary, fig3_policy, table1_log
     ):
-        # Stream the whole trail first, then the policy: retroactive
-        # credit must land on the same 30 % the batch engine reports.
-        tracker = IncrementalCoverage(vocabulary)
-        for entry in table1_log:
-            tracker.observe(entry.to_rule())
-        assert tracker.matched_entries == 0
-        for rule in fig3_policy:
-            tracker.add_rule(rule)
-        assert tracker.entry_coverage() == pytest.approx(0.3)
-        assert tracker.set_coverage() == pytest.approx(0.5)
+        # Fold the whole trail first, then cover it: the policy's rules
+        # credit the folded history, at 30 % as the batch engine reports,
+        # and the one refined pattern lifts it to Section 5's 80 %.
+        aggregate = aggregate_of(table1_log)
+        before = cover(aggregate, fig3_policy, vocabulary)
+        assert before.entry_ratio == pytest.approx(0.3)
+        refined = Policy((*fig3_policy, expected_table1_pattern()))
+        head = cover(aggregate, refined, vocabulary)
+        assert head.entry_ratio == pytest.approx(0.8)
+        batch = compute_entry_coverage(
+            refined, [entry.to_rule() for entry in table1_log], vocabulary
+        )
+        assert head.entry_ratio == batch.ratio

@@ -350,15 +350,11 @@ class TestFailedPoll:
             assert daemon.poll().consumed == len(rows)
             assert len(decoded) == 2 * len(rows)  # fed again
             saved = read_state_bytes(log.store.directory)
-            restarted = build_daemon(log)
         finally:
             log.close()
         keys = [(e.data, e.purpose, e.authorized) for e in trail]
         assert consumed == keys  # exactly once, in append order
         assert_offline_equal(daemon.state, trail)
         assert DaemonState.from_dict(json.loads(saved)) == daemon.state
-        # the coverage tracker was rebuilt too: it matches a restart's
-        assert daemon._tracker.total_entries == len(trail)
-        assert daemon._tracker.entry_coverage() == (
-            restarted._tracker.entry_coverage()
-        )
+        # the coverage-drop trigger reads that state: every entry once
+        assert sum(daemon.state.rules.values()) == len(trail)

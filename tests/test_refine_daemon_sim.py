@@ -14,7 +14,7 @@ from __future__ import annotations
 import pytest
 
 from repro.audit.log import AuditLog
-from repro.coverage.engine import compute_coverage
+from repro.coverage.engine import compute_coverage, compute_entry_coverage
 from repro.errors import DaemonError
 from repro.experiments.harness import (
     ReplayEnvironment,
@@ -284,14 +284,13 @@ class TestStateFile:
 
 
 class TestCountAwareRestart:
-    """Rebuilding the coverage tracker from persisted state grounds each
-    distinct lifted rule once, not each entry, and loses nothing."""
+    """A restarted daemon grounds nothing until it mines; its first mine
+    grounds each distinct lifted rule once and reads the entry coverage
+    the batch engine reads over the whole trail."""
 
-    def test_restart_grounds_once_per_distinct_key(self, tmp_path, monkeypatch):
+    def test_restart_grounds_once_per_distinct_key(self, tmp_path):
         from repro.audit.log import make_entry
         from repro.audit.schema import AccessStatus
-        from repro.coverage.incremental import IncrementalCoverage
-        from repro.policy.grounding import Grounder
         from repro.policy.store import PolicyStore
         from repro.vocab.builtin import healthcare_vocabulary
 
@@ -314,39 +313,24 @@ class TestCountAwareRestart:
         log.extend(trail)
         log.seal_active()
         RefineDaemon(log, StorePolicyTarget(policy), vocabulary,
-                     AutoAcceptGate(**GATE), config).poll()
+                     QueueForReviewGate(), config).poll()
         distinct = len(load_state(log.store.directory).rules)
         assert distinct == len(combos) < len(trail)
 
-        calls: list = []
-        ground_mask = Grounder.ground_mask
-
-        def counted(self, rule):
-            calls.append(rule)
-            return ground_mask(self, rule)
-
-        monkeypatch.setattr(Grounder, "ground_mask", counted)
         revived = RefineDaemon(log, StorePolicyTarget(policy), vocabulary,
-                               AutoAcceptGate(**GATE), config)
-        # one grounding per policy rule (add_rule); each distinct key's
-        # mask comes from its lift, not from a second ground_mask probe
-        assert len(calls) == len(policy.policy())
-        monkeypatch.undo()
-
-        per_entry = IncrementalCoverage(vocabulary, policy.policy())
-        attributes = MiningConfig(**MINING).attributes
-        for entry in trail:
-            per_entry.observe(entry.to_rule(attributes))
-        tracker = revived._tracker
-        assert tracker.total_entries == per_entry.total_entries == len(trail)
-        assert tracker.matched_entries == per_entry.matched_entries
-        assert tracker.entry_coverage() == per_entry.entry_coverage()
-        assert tracker.set_coverage() == per_entry.set_coverage()
-        # a rule adopted later credits the observed history retroactively
-        adopted = parse_rule("ALLOW nurse TO USE referral FOR registration")
-        assert tracker.add_rule(adopted) == per_entry.add_rule(adopted) == 1
-        assert tracker.matched_entries == per_entry.matched_entries
-        assert tracker.entry_coverage() == per_entry.entry_coverage()
+                               QueueForReviewGate(), config)
+        grounder = revived._grounder
+        assert (grounder.hits, grounder.misses) == (0, 0)  # nothing grounded
+        report = revived.poll(force_mine=True)
+        assert report.consumed == 0
+        # one expansion per distinct key (the policy's rule is one of them)
+        assert grounder.misses == distinct
+        attributes = config.mining.attributes
+        batch = compute_entry_coverage(
+            policy.policy(), [entry.to_rule(attributes) for entry in trail],
+            vocabulary,
+        )
+        assert report.entry_coverage == batch.ratio
         log.close()
 
 
@@ -564,6 +548,114 @@ class TestTriggers:
         report = daemon.poll()  # tracker coverage fell 1.0 → 0.5 ≥ 0.25
         assert report.trigger == "coverage-drop"
         assert report.entry_coverage == 0.5
+        log.close()
+
+
+class TestCoverageDropReadsTheState:
+    """The coverage-drop trigger reads the policy's entry coverage off the
+    daemon state, so a live daemon fires exactly where a restarted one
+    does: after a rule is retired, and over composite entries."""
+
+    def _daemon(self, log, store, gate=None):
+        from repro.vocab.builtin import healthcare_vocabulary
+
+        return RefineDaemon(
+            log,
+            StorePolicyTarget(store),
+            healthcare_vocabulary(),
+            gate or AutoAcceptGate(min_support=100, min_distinct_users=100),
+            DaemonConfig(
+                mining=MiningConfig(**MINING),
+                mine_every_polls=0,  # only the drop trigger is armed
+                coverage_drop=0.25,
+            ),
+        )
+
+    @staticmethod
+    def _exceptions(start, count, data, purpose, role):
+        from repro.audit.log import make_entry
+        from repro.audit.schema import AccessStatus
+
+        return [
+            make_entry(start + t, f"u{t % 3}", data, purpose, role,
+                       status=AccessStatus.EXCEPTION)
+            for t in range(count)
+        ]
+
+    @pytest.mark.parametrize("restart", [False, True])
+    def test_a_retired_rule_fires_the_drop(self, tmp_path, restart):
+        from repro.policy.store import PolicyStore
+
+        rule = parse_rule("ALLOW nurse TO USE prescription FOR treatment")
+        store = PolicyStore()
+        store.add(rule)
+        log = DurableAuditLog(tmp_path / "trail")
+        daemon = self._daemon(log, store)
+        log.extend(self._exceptions(0, 10, "prescription", "treatment", "nurse"))
+        log.seal_active()
+        assert daemon.poll(force_mine=True).entry_coverage == 1.0
+        assert store.retire(rule)
+        if restart:
+            daemon = self._daemon(log, store)
+        report = daemon.poll()  # no new seal: coverage fell 1.0 → 0.0
+        assert report.trigger == "coverage-drop"
+        assert report.entry_coverage == 0.0
+        log.close()
+
+    @pytest.mark.parametrize("restart", [False, True])
+    def test_composite_entries_count_once(self, tmp_path, restart):
+        from repro.policy.store import PolicyStore
+
+        store = PolicyStore()
+        store.add(parse_rule("ALLOW nurse TO USE prescription FOR treatment"))
+        log = DurableAuditLog(tmp_path / "trail")
+        gate = AutoAcceptGate(**MINING)
+        daemon = self._daemon(log, store, gate)
+        log.extend(
+            self._exceptions(0, 10, "medical_records", "treatment", "nurse")
+            + self._exceptions(10, 10, "prescription", "treatment", "nurse")
+        )
+        log.seal_active()
+        adopted = daemon.poll(force_mine=True)
+        assert adopted.entry_coverage == 0.5
+        assert adopted.accepted == (
+            parse_rule("ALLOW nurse TO USE medical_records FOR treatment"),
+        )
+        assert daemon.poll(force_mine=True).entry_coverage == 1.0
+        log.extend(self._exceptions(20, 13, "psychiatry", "billing", "clerk"))
+        log.seal_active()
+        if restart:
+            daemon = self._daemon(log, store, gate)
+        report = daemon.poll()  # 20 of 33 entries covered: a drop of 13/33
+        assert report.trigger == "coverage-drop"
+        assert report.entry_coverage == pytest.approx(20 / 33)
+        log.close()
+
+
+class TestStrictVocabulary:
+    def test_an_unknown_value_stops_the_tail_before_the_watermark(
+        self, tmp_path
+    ):
+        from repro.audit.log import make_entry
+        from repro.errors import UnknownTermError
+        from repro.policy.store import PolicyStore
+        from repro.vocab.builtin import healthcare_vocabulary
+
+        log = DurableAuditLog(tmp_path / "trail")
+        daemon = RefineDaemon(
+            log,
+            StorePolicyTarget(PolicyStore()),
+            healthcare_vocabulary(strict=True),
+            QueueForReviewGate(),
+            DaemonConfig(mining=MiningConfig(**MINING), mine_every_polls=0),
+        )
+        log.append(make_entry(0, "u0", "prescription", "treatment", "nurse"))
+        log.append(make_entry(1, "u1", "tarot_reading", "treatment", "nurse"))
+        log.seal_active()
+        for _ in range(2):  # the poison stays ahead of the watermark
+            with pytest.raises(UnknownTermError):
+                daemon.poll()
+            assert load_state(log.store.directory).watermark == 0
         log.close()
 
 
