@@ -64,10 +64,12 @@ class EnforcementError(PrimaError):
 
 
 class AccessDeniedError(EnforcementError):
-    """A request was denied outright by the enforcement layer."""
+    """A request was denied outright; ``decision`` is the
+    :class:`~repro.hdb.decision.CategoryDecision` that denied it."""
 
-    def __init__(self, reason: str) -> None:
+    def __init__(self, reason: str, decision=None) -> None:
         self.reason = reason
+        self.decision = decision
         super().__init__(f"access denied: {reason}")
 
 

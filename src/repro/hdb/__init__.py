@@ -6,6 +6,8 @@ Public surface:
   applications use.
 - :class:`~repro.hdb.enforcement.ActiveEnforcer` /
   :class:`TableBinding` / :class:`AccessRequest` — Active Enforcement.
+- :func:`~repro.hdb.decision.decide_categories` — the one category
+  decision of the served, relational and tree front ends.
 - :class:`~repro.hdb.auditing.ComplianceAuditor` /
   :class:`LogicalClock` — Compliance Auditing.
 - :class:`~repro.hdb.consent.ConsentStore` — patient opt-in/opt-out.

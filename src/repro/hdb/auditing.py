@@ -10,8 +10,9 @@ auditor therefore does nothing but append to its log (cheap by
 construction) and exposes counters so benchmark E6 can quantify the cost.
 A request's entries share every field but ``data``, so
 :meth:`~repro.audit.entry.AuditEntry.for_categories` checks the shared
-fields once and each category once.  Every enforcement point audits a
-decision through :meth:`ComplianceAuditor.record_decision`.
+fields once and each category once.  Every front end's category decision
+(:mod:`repro.hdb.decision`) is audited by
+:meth:`ComplianceAuditor.record_decision`.
 The log defaults to in-memory; hand the constructor a
 :class:`~repro.store.durable.DurableAuditLog` to write the trail through
 to the crash-safe segmented store instead (E16 measures that path).
@@ -178,9 +179,9 @@ class ComplianceAuditor:
         A request with nothing permitted writes DENY entries for
         ``masked`` at one tick.  Otherwise the ``returned`` categories get
         ALLOW entries at one tick and any ``masked`` ones DENY entries at
-        the next.  Every enforcement point (the in-process and tree
-        enforcers, the PDP engine) audits through this, so their trails
-        agree entry for entry.
+        the next.  :meth:`~repro.hdb.decision.CategoryDecision.audit`,
+        which every front end calls, is the one caller, so the served,
+        relational and tree trails agree entry for entry.
         """
         allowed = self.record_access(
             user, role, purpose, returned, AccessOp.ALLOW, status, truth

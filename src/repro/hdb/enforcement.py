@@ -5,15 +5,15 @@ user's query and the clinical database.  For every SELECT it
 
 1. maps the selected columns to privacy-vocabulary data categories via the
    table's :class:`TableBinding`;
-2. checks each category against the policy store (does any active rule
-   cover ``(data, category) ^ (purpose, p) ^ (authorized, role)``?);
+2. decides them in :mod:`repro.hdb.decision` (does any active rule cover
+   ``(data, category) ^ (purpose, p) ^ (authorized, role)``?);
 3. **rewrites the query AST** so that policy-denied columns return NULL
    (cell-level masking, the HDB approach) and the patient-id column rides
    along hidden for consent resolution;
 4. executes the rewritten query, then applies patient consent: cells whose
    category the patient opted out of (for this purpose) become NULL, and
    rows belonging to patients with a whole-purpose opt-out are dropped;
-5. hands the access to Compliance Auditing.
+5. audits the decision and records the disclosures.
 
 Break-the-glass: a request with ``exception=True`` bypasses the policy
 check (and consent — emergencies override preferences) but is audited with
@@ -34,10 +34,12 @@ import logging
 from dataclasses import dataclass
 
 from repro.audit.schema import AccessOp, AccessStatus
-from repro.errors import AccessDeniedError, EnforcementError
+from repro.errors import EnforcementError
+from repro.hdb.accounting import Disclosure, DisclosureLedger
 from repro.hdb.auditing import ComplianceAuditor
-from repro.obs.runtime import get_registry
 from repro.hdb.consent import ConsentStore
+from repro.hdb.decision import PermitMemo, decide_categories
+from repro.obs.runtime import get_registry
 from repro.policy.store import PolicyStore
 from repro.sqlmini import ast
 from repro.sqlmini.database import Database
@@ -113,9 +115,6 @@ class EnforcerStats:
     policy_masked_columns: int = 0
     consent_masked_cells: int = 0
     consent_dropped_rows: int = 0
-    permit_cache_hits: int = 0
-    permit_cache_misses: int = 0
-    permit_cache_invalidations: int = 0
 
 
 class ActiveEnforcer:
@@ -128,7 +127,7 @@ class ActiveEnforcer:
         consent: ConsentStore,
         auditor: ComplianceAuditor,
         vocabulary: Vocabulary,
-        ledger: "DisclosureLedger | None" = None,
+        ledger: DisclosureLedger | None = None,
     ) -> None:
         self.database = database
         self.policy_store = policy_store
@@ -141,13 +140,7 @@ class ActiveEnforcer:
         self.ledger = ledger
         self._bindings: dict[str, TableBinding] = {}
         self.stats = EnforcerStats()
-        # permit decisions memoised per (category, purpose, role) as
-        # (permitted, covering-rule revision), stamped with (policy-store
-        # revision, vocabulary version) — the grounder's version-stamp
-        # pattern, so a stale cache is impossible by construction (see
-        # policy_decision)
-        self._permit_cache: dict[tuple[str, str, str], tuple[bool, int | None]] = {}
-        self._permit_stamp: tuple[int, int] = (-1, -1)
+        self.permit_memo = PermitMemo(policy_store, vocabulary)
         # per-(table, column signature) controlled-item plans; re-binding
         # a table invalidates (see _controlled_plan)
         self._plan_cache: dict[tuple[str, tuple[str | None, ...]],
@@ -199,46 +192,13 @@ class ActiveEnforcer:
     # ------------------------------------------------------------------
     def policy_permits(self, category: str, purpose: str, role: str) -> bool:
         """Does any active store rule cover this concrete access?"""
-        return self.policy_decision(category, purpose, role)[0]
+        return self.permit_memo.decision(category, purpose, role)[0]
 
     def policy_decision(
         self, category: str, purpose: str, role: str
     ) -> tuple[bool, int | None]:
-        """The policy verdict plus *which rule* made it.
-
-        Returns ``(permitted, revision)`` where ``revision`` is the
-        store revision of the first covering rule — the stable rule id
-        decision provenance carries — or None when nothing covers the
-        access (the deny reason).  Memoised per ``(category, purpose,
-        role)`` and stamped with ``(policy-store revision, vocabulary
-        version)``: mutating either clears the memo before the next
-        lookup, so the serve hot path repays repeated decisions without
-        ever reading a stale one.  A miss is one
-        :meth:`~repro.policy.store.PolicyStore.covering_revision` lookup
-        in the store's permit index.
-        """
-        stamp = (self.policy_store.revision, self.vocabulary.version)
-        if stamp != self._permit_stamp:
-            if self._permit_cache:
-                self.stats.permit_cache_invalidations += 1
-                self._permit_cache.clear()
-            self._permit_stamp = stamp
-        # callers pass canonical values, so probe with them as given and
-        # canonicalise only when that misses
-        decision = self._permit_cache.get((category, purpose, role))
-        if decision is None:
-            key = (canonical(category), canonical(purpose), canonical(role))
-            decision = self._permit_cache.get(key)
-            if decision is None:
-                revision = self.policy_store.covering_revision(
-                    *key, self.vocabulary
-                )
-                decision = (revision is not None, revision)
-                self._permit_cache[key] = decision
-                self.stats.permit_cache_misses += 1
-                return decision
-        self.stats.permit_cache_hits += 1
-        return decision
+        """``(permitted, revision of the first covering rule or None)``."""
+        return self.permit_memo.decision(category, purpose, role)
 
     # ------------------------------------------------------------------
     # the enforcement pipeline
@@ -266,30 +226,17 @@ class ActiveEnforcer:
         select = self._parse_select(request.sql)
         binding = self.binding_for(select.table)
         items = self._expand_items(select, binding)
-
-        role = canonical(request.role)
-        purpose = canonical(request.purpose)
         # (position, column, category) for every controlled select item,
         # memoised per column signature
         plan = self._controlled_plan(binding, items)
-
-        if request.exception:
-            status = AccessStatus.EXCEPTION
-            permitted = {category for _, _, category in plan}
-            self.stats.exceptions += 1
-        else:
-            status = AccessStatus.REGULAR
-            permitted = {
-                category
-                for _, _, category in plan
-                if self.policy_permits(category, purpose, role)
-            }
-
-        masked = tuple(
-            sorted({cat for _, _, cat in plan if cat not in permitted})
+        decision = decide_categories(
+            self.permit_memo.permitted, request.role, request.purpose,
+            (category for _, _, category in plan), request.exception,
         )
-        returned = tuple(sorted(permitted))
-        if plan and not permitted:
+        role, purpose, status, returned, masked, deny = decision
+        if status is AccessStatus.EXCEPTION:
+            self.stats.exceptions += 1
+        if deny:
             self.stats.denials += 1
             if self._obs.enabled:
                 self._count_decision("deny", purpose, role)
@@ -297,15 +244,10 @@ class ActiveEnforcer:
                 "deny user=%s role=%s purpose=%s categories=%s",
                 request.user, role, purpose, ",".join(masked),
             )
-            self.auditor.record_decision(
-                request.user, role, purpose, returned, masked, status, request.truth
-            )
-            raise AccessDeniedError(
-                f"policy permits none of the requested categories {masked} "
-                f"for role {role!r} and purpose {purpose!r}"
-            )
+            decision.audit(self.auditor, request.user, request.truth)
+            raise decision.denied()
 
-        rewritten = self._rewrite(select, items, plan, binding, permitted)
+        rewritten = self._rewrite(select, items, plan, binding, returned)
         raw = self.database.execute_statement(rewritten)
         assert isinstance(raw, ResultSet)
         category_positions = [(position, category) for position, _, category in plan]
@@ -318,7 +260,8 @@ class ActiveEnforcer:
         if self._obs.enabled:
             reg = self._obs
             self._count_decision(
-                "exception" if request.exception else "allow", purpose, role
+                "exception" if status is AccessStatus.EXCEPTION else "allow",
+                purpose, role,
             )
             if masked:
                 self._count_decision("rewrite", purpose, role)
@@ -332,12 +275,8 @@ class ActiveEnforcer:
                 rows_dropped
             )
 
-        allow_entries = self.auditor.record_decision(
-            request.user, role, purpose, returned, masked, status, request.truth
-        )
+        allow_entries = decision.audit(self.auditor, request.user, request.truth)
         if self.ledger is not None and allow_entries:
-            from repro.hdb.accounting import Disclosure
-
             tick = allow_entries[0].time
             for patient, categories in disclosed.items():
                 for category in sorted(categories):
@@ -441,7 +380,7 @@ class ActiveEnforcer:
         items: tuple[ast.SelectItem, ...],
         plan: tuple[tuple[int, str, str], ...],
         binding: TableBinding,
-        permitted: set[str],
+        permitted: tuple[str, ...],
     ) -> ast.Select:
         """Mask policy-denied columns and smuggle the patient id along."""
         category_at = {position: category for position, _, category in plan}

@@ -283,6 +283,8 @@ class RefineDaemon:
         #: each accepted candidate's DSL parsed once (reconcile runs on
         #: every poll)
         self._parsed: dict[str, Rule] = {}
+        #: the last coverage-drop check's (key, entry coverage)
+        self._coverage_memo: tuple[tuple | None, float] = (None, 0.0)
         self._resume()  # loads ``state``
         #: set while a poll runs; still set at the next poll when one
         #: failed part-way, with merges the state file never saw
@@ -516,14 +518,17 @@ class RefineDaemon:
         ):
             return "interval"
         if cfg.coverage_drop is not None and state.last_entry_coverage is not None:
-            current = state.cover(
-                self.target.current_store().policy(),
-                self.vocabulary,
-                self._grounder,
-                cfg.mining.attributes,
-                self.name,
-            ).entry_ratio
-            if state.last_entry_coverage - current >= cfg.coverage_drop:
+            # what cover() reads moves only with the watermark (only
+            # _consume folds, and it moves it), the store revision or the
+            # vocabulary version, so an idle armed poll reuses the ratio
+            store = self.target.current_store()
+            key = (state.watermark, store.revision, self.vocabulary.version)
+            if self._coverage_memo[0] != key:
+                self._coverage_memo = (key, state.cover(
+                    store.policy(), self.vocabulary, self._grounder,
+                    cfg.mining.attributes, self.name,
+                ).entry_ratio)
+            if state.last_entry_coverage - self._coverage_memo[1] >= cfg.coverage_drop:
                 return "coverage-drop"
         return None
 

@@ -24,6 +24,7 @@ the per-request cost is a plain int increment).
 from __future__ import annotations
 
 from collections import OrderedDict
+from collections.abc import Iterable
 
 from repro.obs.runtime import get_registry
 
@@ -62,10 +63,9 @@ class DecisionCache:
         consent_version: int,
         role: str,
         purpose: str,
-        categories: tuple[str, ...],
-        exception: bool = False,
+        categories: Iterable[str],
     ) -> tuple:
-        """Build the interned cache key for one decision."""
+        """Build the interned cache key for one regular decision."""
         atom = self._atom
         return (
             policy_version,
@@ -73,7 +73,6 @@ class DecisionCache:
             atom(role),
             atom(purpose),
             tuple(atom(category) for category in categories),
-            exception,
         )
 
     # ------------------------------------------------------------------

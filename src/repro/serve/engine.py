@@ -16,11 +16,10 @@ Two decision shapes:
 
 ``decide``
     The pure PDP path — ``(user, role, purpose, data categories)`` in,
-    permitted/masked categories out.  Verdicts come from the interned
-    :class:`~repro.serve.cache.DecisionCache`; compliance auditing runs
-    on every request (cache hits included) with exactly the enforcer's
-    entry semantics, so the served trail is indistinguishable from an
-    in-process one.
+    permitted/masked categories out, decided and audited in
+    :mod:`repro.hdb.decision` like every in-process decision, behind the
+    interned :class:`~repro.serve.cache.DecisionCache` (auditing runs on
+    every request, cache hits included).
 ``query``
     Full Active Enforcement — the SQL is rewritten, executed, and
     consent-masked by the snapshot's enforcer, byte-identical to calling
@@ -41,6 +40,7 @@ from dataclasses import dataclass
 from repro.audit.schema import AccessStatus
 from repro.errors import AccessDeniedError, EnforcementError, PrimaError
 from repro.hdb.consent import ConsentStore
+from repro.hdb.decision import CategoryDecision, decide_categories
 from repro.hdb.enforcement import AccessRequest, ActiveEnforcer
 from repro.obs import trace as obstrace
 from repro.obs.provenance import DecisionProvenance, ProvenanceLedger
@@ -177,7 +177,6 @@ class PdpEngine:
     def stats(self) -> dict:
         """JSON-ready engine statistics for the ``stats`` op."""
         snapshot = self.manager.current
-        enforcer_stats = snapshot.enforcer.stats
         return {
             "versions": snapshot.versions(),
             "decisions_served": self.decisions_served,
@@ -185,44 +184,52 @@ class PdpEngine:
             "audit_entries": len(self.audit_log),
             "active_rules": len(snapshot.policy_store),
             "decision_cache": self.cache.stats() if self.cache else None,
-            "permit_cache": {
-                "hits": enforcer_stats.permit_cache_hits,
-                "misses": enforcer_stats.permit_cache_misses,
-                "invalidations": enforcer_stats.permit_cache_invalidations,
-            },
+            "permit_cache": snapshot.enforcer.permit_memo.stats(),
         }
 
     # ------------------------------------------------------------------
     # the decision paths
     # ------------------------------------------------------------------
     def decide(self, request: ServeRequest) -> dict:
-        """The category-level PDP decision, audited write-through by
-        :meth:`~repro.hdb.auditing.ComplianceAuditor.record_decision`: a
+        """The category-level PDP decision, audited write-through: a
         fully denied request answers ``DENIED``."""
         snapshot = self.manager.current
         trace_id = obstrace.recording_trace_id()
         started = time.perf_counter()
         entries_before = len(self.audit_log) if trace_id else 0
-        role = canonical(request.role)
-        purpose = canonical(request.purpose)
-        categories = tuple(sorted({canonical(c) for c in request.categories}))
-        if request.exception:
-            status = AccessStatus.EXCEPTION
-            permitted = frozenset(categories)
-            cache_state = "bypass"
-        else:
-            status = AccessStatus.REGULAR
-            permitted, cache_state = self._permitted(
-                snapshot, role, purpose, categories
-            )
-        masked = tuple(sorted(set(categories) - permitted))
-        returned = tuple(sorted(permitted))
+        cache, cache_state = self.cache, "bypass"
+
+        # the verdict via the decision cache; a miss asks the snapshot
+        # enforcer's policy_permits.  cache_state is provenance's ``cache``
+        def permitted(categories, purpose, role):
+            nonlocal cache_state
+            if cache is not None:
+                key = cache.key(
+                    snapshot.policy_store.revision, snapshot.consent.version,
+                    role, purpose, categories,
+                )
+                allowed = cache.get(key)
+                if allowed is not None:
+                    cache_state = "hit"
+                    return allowed
+            permits = snapshot.enforcer.policy_permits
+            allowed = frozenset(c for c in categories if permits(c, purpose, role))
+            if cache is None:
+                cache_state = "off"
+            else:
+                cache.put(key, allowed)
+                cache_state = "miss"
+            return allowed
+
+        decision = decide_categories(
+            permitted, request.role, request.purpose, request.categories,
+            request.exception,
+        )
+        role, purpose, _, returned, masked, deny = decision
         self.decisions_served += 1
         versions = snapshot.versions()
-        self.manager.auditor.record_decision(
-            request.user, role, purpose, returned, masked, status, request.truth
-        )
-        if categories and not permitted:
+        decision.audit(self.manager.auditor, request.user, request.truth)
+        if deny:
             response = protocol.error_response(
                 code=protocol.DENIED,
                 error=f"policy permits none of {list(masked)} for role "
@@ -239,27 +246,18 @@ class PdpEngine:
             )
         if trace_id is not None:
             self._record_provenance(
-                trace_id=trace_id, request=request, snapshot=snapshot,
-                role=role, purpose=purpose, categories=categories,
-                resolve=categories if status is AccessStatus.REGULAR else (),
-                response=response, status=status, cache_state=cache_state,
-                entries_before=entries_before, started=started,
-                versions=versions,
+                trace_id, request, snapshot, decision, response, cache_state,
+                entries_before, started, versions,
             )
         return response
 
     def _record_provenance(
         self,
-        *,
         trace_id: str,
         request: ServeRequest,
         snapshot: EngineSnapshot,
-        role: str,
-        purpose: str,
-        categories: tuple[str, ...],
-        resolve: tuple[str, ...],
+        decision: CategoryDecision,
         response: dict,
-        status: AccessStatus,
         cache_state: str,
         entries_before: int,
         started: float,
@@ -268,79 +266,32 @@ class PdpEngine:
         """Record the why-record for one traced decision (side channel).
 
         Never touches ``response`` — provenance must not perturb the E20
-        byte-identity of the wire protocol.  ``resolve`` names the
-        categories whose covering rule revision should be looked up (the
-        enforcer memoises the lookup, so this is cheap after the first
-        traced request per key).
+        byte-identity of the wire protocol.  A regular decision records
+        each category's covering rule revision (the enforcer memoises the
+        lookup, so this is cheap after the first traced request per key);
+        a break-the-glass one records none.
         """
-        matched: dict[str, int | None] = {}
-        for category in resolve:
-            matched[category] = snapshot.enforcer.policy_decision(
-                category, purpose, role
-            )[1]
+        role, purpose, status = decision.role, decision.purpose, decision.status
+        categories = tuple(sorted(decision.returned + decision.masked))
+        lookup = snapshot.enforcer.policy_decision
+        matched = {
+            category: lookup(category, purpose, role)[1] for category in categories
+        } if status is AccessStatus.REGULAR else {}
         entry_ids = tuple(range(entries_before, len(self.audit_log)))
         builder = obstrace.current()
         annotations = builder.annotations if builder is not None else {}
-        self.provenance.record(
-            DecisionProvenance(
-                trace_id=trace_id,
-                op=request.op,
-                user=request.user,
-                role=role,
-                purpose=purpose,
-                decision=response["code"],
-                status=(
-                    "exception" if status is AccessStatus.EXCEPTION else "regular"
-                ),
-                categories=categories,
-                matched_rules=matched,
-                versions=versions,
-                cache=cache_state,
-                queue_ms=annotations.get("queue_ms"),
-                handle_ms=round((time.perf_counter() - started) * 1000.0, 4),
-                entry_ids=entry_ids,
-                deadline_remaining_ms=annotations.get("deadline_remaining_ms"),
-            )
-        )
+        self.provenance.record(DecisionProvenance(
+            trace_id=trace_id, op=request.op, user=request.user,
+            role=role, purpose=purpose, decision=response["code"],
+            status=status.name.lower(), categories=categories,
+            matched_rules=matched, versions=versions, cache=cache_state,
+            queue_ms=annotations.get("queue_ms"),
+            handle_ms=round((time.perf_counter() - started) * 1000.0, 4),
+            entry_ids=entry_ids,
+            deadline_remaining_ms=annotations.get("deadline_remaining_ms"),
+        ))
         if entry_ids:
             obstrace.annotate(entry_ids=list(entry_ids))
-
-    def _permitted(
-        self,
-        snapshot: EngineSnapshot,
-        role: str,
-        purpose: str,
-        categories: tuple[str, ...],
-    ) -> tuple[frozenset[str], str]:
-        """The policy verdict, via the interned decision cache.
-
-        Returns ``(permitted categories, cache state)`` where the state
-        is ``hit``/``miss``/``off`` — the provenance record's ``cache``.
-        """
-        cache = self.cache
-        if cache is None:
-            return (
-                frozenset(
-                    category
-                    for category in categories
-                    if snapshot.enforcer.policy_permits(category, purpose, role)
-                ),
-                "off",
-            )
-        key = cache.key(
-            snapshot.policy_store.revision, snapshot.consent.version,
-            role, purpose, categories,
-        )
-        permitted = cache.get(key)
-        if permitted is not None:
-            return permitted, "hit"
-        permitted = frozenset(
-            category
-            for category in categories
-            if snapshot.enforcer.policy_permits(category, purpose, role)
-        )
-        cache.put(key, permitted)
-        return permitted, "miss"
 
     def query(self, request: ServeRequest) -> dict:
         """Full Active Enforcement over one SQL request."""
@@ -354,9 +305,6 @@ class PdpEngine:
         )
         self.queries_served += 1
         versions = snapshot.versions()
-        status = (
-            AccessStatus.EXCEPTION if request.exception else AccessStatus.REGULAR
-        )
         try:
             result = snapshot.enforcer.execute(access)
         except AccessDeniedError as exc:
@@ -366,18 +314,14 @@ class PdpEngine:
             )
             if trace_id is not None:
                 self._record_provenance(
-                    trace_id=trace_id, request=request, snapshot=snapshot,
-                    role=canonical(request.role),
-                    purpose=canonical(request.purpose),
-                    categories=(), resolve=(), response=response,
-                    status=status, cache_state="off",
-                    entries_before=entries_before, started=started,
-                    versions=versions,
+                    trace_id, request, snapshot, exc.decision, response, "off",
+                    entries_before, started, versions,
                 )
             return response
         except (EnforcementError, SqlError) as exc:
-            # raised before anything executed or was audited: the query
-            # never entered the trail, exactly like a malformed frame
+            # raised before the decision was audited (parsing, or while
+            # executing): the query never entered the trail, exactly like
+            # a malformed frame
             return protocol.error_response(
                 code=protocol.BAD_REQUEST, error=str(exc), versions=versions
             )
@@ -393,21 +337,14 @@ class PdpEngine:
             versions=versions,
         )
         if trace_id is not None:
-            categories = tuple(
-                sorted(
-                    set(result.categories_returned)
-                    | set(result.categories_masked)
-                )
+            decision = CategoryDecision(
+                canonical(request.role), canonical(request.purpose),
+                result.status, result.categories_returned,
+                result.categories_masked, False,
             )
             self._record_provenance(
-                trace_id=trace_id, request=request, snapshot=snapshot,
-                role=canonical(request.role),
-                purpose=canonical(request.purpose),
-                categories=categories,
-                resolve=categories if status is AccessStatus.REGULAR else (),
-                response=response, status=status, cache_state="off",
-                entries_before=entries_before, started=started,
-                versions=versions,
+                trace_id, request, snapshot, decision, response, "off",
+                entries_before, started, versions,
             )
         return response
 

@@ -8,8 +8,8 @@ data subject; :class:`TreeEnforcer` then serves ``retrieve`` requests:
 1. select the requested subtrees with a path expression;
 2. classify every element via the binding (first matching category path
    wins; unclassified elements are structural and always pass);
-3. check each category against the policy store for (purpose, role) —
-   denied categories' elements are pruned from the result;
+3. decide the categories in :mod:`repro.hdb.decision`, as the relational
+   and served paths do — denied categories' elements are pruned;
 4. apply patient consent: cell-level opt-outs prune the element,
    whole-purpose opt-outs drop the patient's entire subtree;
 5. audit through Compliance Auditing with the same schema as the
@@ -24,9 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.audit.schema import AccessStatus
-from repro.errors import AccessDeniedError, EnforcementError
+from repro.errors import EnforcementError
 from repro.hdb.auditing import ComplianceAuditor
 from repro.hdb.consent import ConsentStore
+from repro.hdb.decision import PermitMemo, decide_categories
 from repro.policy.store import PolicyStore
 from repro.treestore.node import TreeDocument, TreeNode
 from repro.treestore.path import PathExpression, compile_path
@@ -120,6 +121,7 @@ class TreeEnforcer:
         self.consent = consent
         self.auditor = auditor
         self.vocabulary = vocabulary
+        self.permit_memo = PermitMemo(policy_store, vocabulary)
         self._bindings: dict[str, TreeBinding] = {}
 
     def bind_document(self, document_name: str, binding: TreeBinding) -> None:
@@ -137,15 +139,6 @@ class TreeEnforcer:
             ) from None
 
     # ------------------------------------------------------------------
-    def policy_permits(self, category: str, purpose: str, role: str) -> bool:
-        """Does any active store rule cover this concrete access?"""
-        return (
-            self.policy_store.covering_revision(
-                category, purpose, role, self.vocabulary
-            )
-            is not None
-        )
-
     def retrieve(
         self,
         user: str,
@@ -163,37 +156,22 @@ class TreeEnforcer:
             raise EnforcementError(
                 f"path {select!r} selects nothing in document {document.name!r}"
             )
-        role = canonical(role)
-        purpose = canonical(purpose)
         categories = binding.classify(document)
         ownership = binding.patients(document)
-
-        requested = {
-            categories[id(node)]
-            for root in selection
-            for node in root.walk()
-            if id(node) in categories
-        }
-        if exception:
-            permitted = set(requested)
-            status = AccessStatus.EXCEPTION
-        else:
-            permitted = {
-                category
-                for category in requested
-                if self.policy_permits(category, purpose, role)
-            }
-            status = AccessStatus.REGULAR
-        masked = tuple(sorted(requested - permitted))
-        returned = tuple(sorted(permitted))
-        if requested and not permitted:
-            self.auditor.record_decision(
-                user, role, purpose, returned, masked, status, truth
-            )
-            raise AccessDeniedError(
-                f"policy permits none of the requested categories {masked} "
-                f"for role {role!r} and purpose {purpose!r}"
-            )
+        decision = decide_categories(
+            self.permit_memo.permitted, role, purpose,
+            (
+                categories[id(node)]
+                for root in selection
+                for node in root.walk()
+                if id(node) in categories
+            ),
+            exception,
+        )
+        if decision.deny:
+            decision.audit(self.auditor, user, truth)
+            raise decision.denied()
+        purpose, permitted = decision.purpose, decision.returned
 
         pruned_policy = 0
         pruned_consent = 0
@@ -211,21 +189,19 @@ class TreeEnforcer:
                 patient = ownership.get(id(node))
                 if patient is None or exception:
                     continue
-                decision = self.consent.decide(patient, category, purpose)
-                if decision.allowed:
+                choice = self.consent.decide(patient, category, purpose)
+                if choice.allowed:
                     continue
-                if decision.row_level:
+                if choice.row_level:
                     dropped_patients.add(patient)
                 else:
                     removals.add(id(node))
                     pruned_consent += 1
         # whole-purpose opt-outs remove the patient's entire element
         if dropped_patients:
-            for root in selection:
-                for node in root.walk():
-                    patient = ownership.get(id(node))
-                    if patient in dropped_patients:
-                        removals.add(id(node))
+            removals.update(
+                node for node, owner in ownership.items() if owner in dropped_patients
+            )
 
         subtrees = tuple(
             pruned
@@ -233,14 +209,12 @@ class TreeEnforcer:
             for pruned in [_prune_clone(root, removals)]
             if pruned is not None
         )
-        self.auditor.record_decision(
-            user, role, purpose, returned, masked, status, truth
-        )
+        decision.audit(self.auditor, user, truth)
         return TreeEnforcementResult(
             subtrees=subtrees,
-            status=status,
-            categories_returned=returned,
-            categories_masked=masked,
+            status=decision.status,
+            categories_returned=decision.returned,
+            categories_masked=decision.masked,
             nodes_pruned_by_policy=pruned_policy,
             nodes_pruned_by_consent=pruned_consent,
             patients_dropped_by_consent=len(dropped_patients),

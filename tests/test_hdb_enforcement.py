@@ -205,18 +205,18 @@ class TestPermitMemoization:
     def test_repeat_lookup_hits_the_cache(self, center):
         enforcer = center.enforcer
         assert enforcer.policy_permits("prescription", "treatment", "nurse")
-        misses = enforcer.stats.permit_cache_misses
-        hits = enforcer.stats.permit_cache_hits
+        misses = enforcer.permit_memo.misses
+        hits = enforcer.permit_memo.hits
         assert enforcer.policy_permits("prescription", "treatment", "nurse")
-        assert enforcer.stats.permit_cache_hits == hits + 1
-        assert enforcer.stats.permit_cache_misses == misses
+        assert enforcer.permit_memo.hits == hits + 1
+        assert enforcer.permit_memo.misses == misses
 
     def test_distinct_triples_are_distinct_entries(self, center):
         enforcer = center.enforcer
         enforcer.policy_permits("prescription", "treatment", "nurse")
         enforcer.policy_permits("prescription", "treatment", "physician")
-        assert enforcer.stats.permit_cache_misses == 2
-        assert enforcer.stats.permit_cache_hits == 0
+        assert enforcer.permit_memo.misses == 2
+        assert enforcer.permit_memo.hits == 0
 
     def test_policy_revision_invalidates(self, center):
         enforcer = center.enforcer
@@ -224,7 +224,7 @@ class TestPermitMemoization:
         center.define_rule("ALLOW nurse TO USE psychiatry FOR treatment")
         # the revision bump must flush the memo before the next lookup
         assert enforcer.policy_permits("psychiatry", "treatment", "nurse")
-        assert enforcer.stats.permit_cache_invalidations == 1
+        assert enforcer.permit_memo.invalidations == 1
 
     def test_retiring_a_rule_invalidates(self, center):
         from repro.policy.parser import parse_rule
@@ -235,7 +235,7 @@ class TestPermitMemoization:
             parse_rule("ALLOW nurse TO USE medical_records FOR treatment")
         )
         assert not enforcer.policy_permits("prescription", "treatment", "nurse")
-        assert enforcer.stats.permit_cache_invalidations == 1
+        assert enforcer.permit_memo.invalidations == 1
 
     def test_vocabulary_growth_invalidates(self, center, vocabulary):
         enforcer = center.enforcer
@@ -244,7 +244,7 @@ class TestPermitMemoization:
         # vocabulary version, so the cached denial must not survive
         vocabulary.tree_for("data").add("genomics", parent="medical_records")
         assert enforcer.policy_permits("genomics", "treatment", "nurse")
-        assert enforcer.stats.permit_cache_invalidations == 1
+        assert enforcer.permit_memo.invalidations == 1
 
     def test_rebinding_a_table_clears_the_plan_cache(self, center):
         enforcer = center.enforcer

@@ -286,12 +286,12 @@ def test_non_canonical_spellings_get_the_canonical_answer(store, vocabulary):
     enforcer = _enforcer(store, vocabulary)
     canonical_answer = enforcer.policy_decision("prescription", "treatment", "nurse")
     assert canonical_answer == (True, 2)
-    hits = enforcer.stats.permit_cache_hits
+    hits = enforcer.permit_memo.hits
     assert enforcer.policy_decision("  Prescription ", "TREATMENT", "  Nurse ") == canonical_answer
     # the canonical key answered it: a hit, and no second memo entry
-    assert enforcer.stats.permit_cache_hits == hits + 1
-    assert enforcer.stats.permit_cache_misses == 1
-    assert list(enforcer._permit_cache) == [("prescription", "treatment", "nurse")]
+    assert enforcer.permit_memo.hits == hits + 1
+    assert enforcer.permit_memo.misses == 1
+    assert list(enforcer.permit_memo._permit_cache) == [("prescription", "treatment", "nurse")]
     fresh = _enforcer(store, vocabulary)
     assert fresh.policy_decision(" Lab Results", "Treatment", "NURSE") == (True, 2)
     assert fresh.policy_decision(" Lab Results", "Billing", "NURSE") == (False, None)

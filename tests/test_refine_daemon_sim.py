@@ -631,6 +631,52 @@ class TestCoverageDropReadsTheState:
         assert report.entry_coverage == pytest.approx(20 / 33)
         log.close()
 
+    def test_idle_armed_polls_cover_once(self, tmp_path, monkeypatch):
+        """The armed check recomputes coverage only when the watermark,
+        the store revision or the vocabulary version moved."""
+        from repro.errors import CoverageError
+        from repro.parallel.refine import TrailAggregate
+        from repro.policy.store import PolicyStore
+
+        covers = []
+        cover = TrailAggregate.cover
+
+        def counting(self, *args, **kwargs):
+            covers.append(1)
+            return cover(self, *args, **kwargs)
+
+        nurse = parse_rule("ALLOW nurse TO USE prescription FOR treatment")
+        clerk = parse_rule("ALLOW clerk TO USE psychiatry FOR billing")
+        store = PolicyStore()
+        store.add(nurse)
+        log = DurableAuditLog(tmp_path / "trail")
+        daemon = self._daemon(log, store)
+        log.extend(self._exceptions(0, 10, "prescription", "treatment", "nurse"))
+        log.seal_active()
+        assert daemon.poll(force_mine=True).entry_coverage == 1.0
+        monkeypatch.setattr(TrailAggregate, "cover", counting)
+
+        def polls(count):
+            """``count`` polls' triggers, and how many covers they ran."""
+            before = len(covers)
+            triggers = [daemon.poll().trigger for _ in range(count)]
+            return triggers, len(covers) - before
+
+        assert polls(3) == ([None, None, None], 1)
+        store.add(clerk)  # an adoption
+        assert polls(2) == ([None, None], 1)
+        log.extend(self._exceptions(10, 10, "psychiatry", "billing", "clerk"))
+        log.seal_active()  # a fold: both halves are covered
+        assert polls(2) == ([None, None], 1)
+        assert store.retire(clerk)  # coverage falls 1.0 → 0.5; mining covers once more
+        assert polls(2) == (["coverage-drop", None], 2)
+        daemon.vocabulary.tree_for("data").add("genomics", parent="medical_records")
+        # the daemon's private grounder refuses a mutated vocabulary, as
+        # it did before the ratio was kept: the new version is a new key
+        with pytest.raises(CoverageError):
+            daemon.poll()
+        log.close()
+
 
 class TestStrictVocabulary:
     def test_an_unknown_value_stops_the_tail_before_the_watermark(

@@ -197,9 +197,21 @@ class TestQuery:
         assert response["code"] == protocol.DENIED
         assert "error" in response
 
-    def test_malformed_sql_is_bad_request_and_unaudited(self, engine):
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELEC nope",
+            # these three pass the category decision and fail while
+            # executing: the audit comes after execution, so none is written
+            "SELECT prescription FROM patients WHERE nosuchcol = 1",
+            "SELECT prescription, nosuchcol FROM patients",
+            "SELECT prescription FROM patients ORDER BY nosuchcol",
+        ],
+        ids=["parse", "where", "select_list", "order_by"],
+    )
+    def test_malformed_sql_is_bad_request_and_unaudited(self, engine, sql):
         base = len(engine.audit_log)
-        response = query(engine, "SELEC nope")
+        response = query(engine, sql)
         assert response["code"] == protocol.BAD_REQUEST
         assert len(engine.audit_log) == base
 

@@ -170,6 +170,31 @@ class TestDecisionProvenance:
             response["returned"] + response["masked"]
         )
 
+    def test_denied_query_provenance_records_its_categories(self, traced):
+        engine, srv, _ = traced
+        traceparent = fresh_traceparent()
+        with PdpClient(srv.host, srv.port) as client:
+            response = client.query(
+                "u", " Clerk", "Billing",
+                "SELECT psychiatry, prescription FROM patients",
+                trace=traceparent,
+            )
+        assert response["code"] == protocol.DENIED
+        [record] = engine.provenance.for_trace(response["trace"])
+        assert record["op"] == "query"
+        assert record["decision"] == protocol.DENIED
+        assert (record["role"], record["purpose"]) == ("clerk", "billing")
+        # the same record a denied decide writes: every category, none
+        # matched by a rule
+        assert record["categories"] == ["prescription", "psychiatry"]
+        assert record["matched_rules"] == {
+            "prescription": None, "psychiatry": None,
+        }
+        assert len(record["entry_ids"]) == 2
+        assert not any(
+            engine.audit_log.entries[i].is_allowed for i in record["entry_ids"]
+        )
+
     def test_server_trace_covers_unstamped_requests_too(self, traced):
         """Server-side roots give even unstamped requests provenance —
         only their trace id stays out of the response body."""

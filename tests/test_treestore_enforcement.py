@@ -132,6 +132,28 @@ class TestPolicyPruning:
             enforcer.retrieve("u", "nurse", "treatment", stray, "/loose")
 
 
+class TestPermitMemo:
+    def test_repeat_retrieve_hits_and_a_store_mutation_invalidates(self, enforcer):
+        memo = enforcer.permit_memo
+
+        def retrieve():
+            return enforcer.retrieve(
+                "nurse_kim", "nurse", "treatment", _ward_document(),
+                "/patients/patient",
+            )
+
+        retrieve()  # five categories, each a miss
+        assert (memo.hits, memo.misses, memo.invalidations) == (0, 5, 0)
+        retrieve()
+        assert (memo.hits, memo.misses, memo.invalidations) == (5, 5, 0)
+        enforcer.policy_store.add(
+            parse_rule("ALLOW nurse TO USE psychiatry FOR treatment")
+        )
+        result = retrieve()
+        assert (memo.hits, memo.misses, memo.invalidations) == (5, 10, 1)
+        assert "psychiatry" in result.categories_returned
+
+
 class TestBreakTheGlass:
     def test_exception_bypasses_policy(self, enforcer):
         result = enforcer.retrieve(
