@@ -27,102 +27,75 @@ Subpackages: :mod:`repro.vocab`, :mod:`repro.policy`,
 :mod:`repro.workload`, :mod:`repro.experiments`, :mod:`repro.store`.
 """
 
-from repro.audit import AccessOp, AccessStatus, AuditEntry, AuditLog, make_entry
-from repro.coverage import (
-    analyse_gaps,
-    completely_covers,
-    compute_coverage,
-    compute_entry_coverage,
-)
-from repro.errors import PrimaError
-from repro.hdb import (
-    AccessRequest,
-    ActiveEnforcer,
-    AuditFederation,
-    ComplianceAuditor,
-    ConsentStore,
-    HdbControlCenter,
-    LogicalClock,
-    TableBinding,
-)
-from repro.mining import (
-    AprioriPatternMiner,
-    MiningConfig,
-    Pattern,
-    SqlPatternMiner,
-    derive_rules,
-)
-from repro.policy import (
-    Policy,
-    PolicySource,
-    PolicyStore,
-    Range,
-    Rule,
-    RuleTerm,
-    parse_policy,
-    parse_rule,
-    policy_range,
-)
-from repro.refinement import (
-    AcceptAll,
-    RefinementConfig,
-    RefinementLoop,
-    ReviewQueue,
-    ThresholdReview,
-    refine,
-)
-from repro.sqlmini import Database
-from repro.store import AuditStore, DurableAuditLog, StoreConfig, copy_to_durable
-from repro.vocab import Vocabulary, VocabularyTree, healthcare_vocabulary
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AcceptAll",
-    "AccessOp",
-    "AccessRequest",
-    "AccessStatus",
-    "ActiveEnforcer",
-    "AprioriPatternMiner",
-    "AuditEntry",
-    "AuditFederation",
-    "AuditLog",
-    "AuditStore",
-    "ComplianceAuditor",
-    "ConsentStore",
-    "Database",
-    "DurableAuditLog",
-    "HdbControlCenter",
-    "LogicalClock",
-    "MiningConfig",
-    "Pattern",
-    "Policy",
-    "PolicySource",
-    "PolicyStore",
-    "PrimaError",
-    "Range",
-    "RefinementConfig",
-    "RefinementLoop",
-    "ReviewQueue",
-    "Rule",
-    "RuleTerm",
-    "SqlPatternMiner",
-    "StoreConfig",
-    "TableBinding",
-    "ThresholdReview",
-    "Vocabulary",
-    "VocabularyTree",
-    "__version__",
-    "analyse_gaps",
-    "completely_covers",
-    "compute_coverage",
-    "compute_entry_coverage",
-    "copy_to_durable",
-    "derive_rules",
-    "healthcare_vocabulary",
-    "make_entry",
-    "parse_policy",
-    "parse_rule",
-    "policy_range",
-    "refine",
-]
+#: Each public name's home subpackage.  PEP 562 ``__getattr__`` imports
+#: a subpackage the first time one of its names is read, so importing
+#: any ``repro`` module loads only what that module needs.
+_HOMES: dict[str, tuple[str, ...]] = {
+    "repro.audit": ("AccessOp", "AccessStatus", "AuditEntry", "AuditLog", "make_entry"),
+    "repro.coverage": (
+        "analyse_gaps",
+        "completely_covers",
+        "compute_coverage",
+        "compute_entry_coverage",
+    ),
+    "repro.errors": ("PrimaError",),
+    "repro.hdb": (
+        "AccessRequest",
+        "ActiveEnforcer",
+        "AuditFederation",
+        "ComplianceAuditor",
+        "ConsentStore",
+        "HdbControlCenter",
+        "LogicalClock",
+        "TableBinding",
+    ),
+    "repro.mining": (
+        "AprioriPatternMiner",
+        "MiningConfig",
+        "Pattern",
+        "SqlPatternMiner",
+        "derive_rules",
+    ),
+    "repro.policy": (
+        "Policy",
+        "PolicySource",
+        "PolicyStore",
+        "Range",
+        "Rule",
+        "RuleTerm",
+        "parse_policy",
+        "parse_rule",
+        "policy_range",
+    ),
+    "repro.refinement": (
+        "AcceptAll",
+        "RefinementConfig",
+        "RefinementLoop",
+        "ReviewQueue",
+        "ThresholdReview",
+        "refine",
+    ),
+    "repro.sqlmini": ("Database",),
+    "repro.store": ("AuditStore", "DurableAuditLog", "StoreConfig", "copy_to_durable"),
+    "repro.vocab": ("Vocabulary", "VocabularyTree", "healthcare_vocabulary"),
+}
+_HOME_OF = {name: module for module, names in _HOMES.items() for name in names}
+
+__all__ = sorted([*_HOME_OF, "__version__"])
+
+
+def __getattr__(name: str):
+    module = _HOME_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -4,15 +4,17 @@ The paper fixes an audit entry as the 7-tuple ``{(time, t), (op, X),
 (user, u), (data, d), (purpose, p), (authorized, a), (status, s)}`` where
 ``op`` is 0 (disallow) / 1 (allow) and ``status`` is 0 (exception-based
 access) / 1 (regular access).  This module centralises those constants and
-the sqlmini column layout every other audit component shares.
+the sqlmini column layout every other audit component shares; the SQL
+engine itself is imported only when that layout is built.
 """
 
 from __future__ import annotations
 
 from enum import IntEnum
+from typing import TYPE_CHECKING
 
-from repro.sqlmini.schema import Column, TableSchema
-from repro.sqlmini.types import SqlType
+if TYPE_CHECKING:
+    from repro.sqlmini.schema import TableSchema
 
 
 class AccessOp(IntEnum):
@@ -73,6 +75,9 @@ def create_audit_indexes(table) -> None:
 
 def audit_table_schema(name: str = "audit_log") -> TableSchema:
     """Build the sqlmini schema for an audit-trail table."""
+    from repro.sqlmini.schema import Column, TableSchema
+    from repro.sqlmini.types import SqlType
+
     return TableSchema(
         name,
         (

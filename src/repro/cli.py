@@ -1468,16 +1468,11 @@ def _cmd_trace_show(arguments: argparse.Namespace) -> int:
 
 
 def _sql_database(log_path: str | None):
-    from repro.audit.schema import audit_table_schema, create_audit_indexes
     from repro.sqlmini.database import Database
 
     database = Database("cli")
-    if log_path:
-        log = _load_log(log_path)
-        log.to_table(database, "audit_log", index=True)
-    else:
-        table = database.create_table(audit_table_schema("audit_log"))
-        create_audit_indexes(table)
+    log = _load_log(log_path) if log_path else AuditLog()
+    log.to_table(database, "audit_log", index=True)
     return database
 
 

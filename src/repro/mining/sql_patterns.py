@@ -39,7 +39,6 @@ from repro.audit.schema import AUDIT_ATTRIBUTES
 from repro.errors import MiningError
 from repro.mining.patterns import MiningConfig, Pattern, sql_pattern_order
 from repro.policy.rule import Rule
-from repro.sqlmini.database import Database
 
 #: One GROUP BY key: the entry's values over the configured attributes.
 GroupKey = tuple[str, ...]
@@ -134,6 +133,8 @@ class SqlPatternMiner:
         """
         if len(log) == 0:
             return ()
+        from repro.sqlmini.database import Database
+
         database = Database("analysis")
         log.to_table(database, self.TABLE)
         sql = build_analysis_sql(self.TABLE, config)

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import pickle
 from collections.abc import Callable, Sequence
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 
 from repro.obs.runtime import get_registry
 from repro.parallel.shards import Shard
@@ -34,9 +32,14 @@ def run_sharded(
 ) -> tuple[list, str]:
     """Run ``worker(shard, task)`` for every shard; results in shard
     order.  Returns ``(results, mode)`` where mode says whether a pool
-    was actually used: a single shard maps here, as ``"serial"``."""
+    was actually used: a single shard maps here, as ``"serial"``.  The
+    pool machinery is imported only past that return, so a caller that
+    never fans out never loads ``multiprocessing``."""
     if len(shards) <= 1:
         return map_in_process(worker, shards, task)
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
     try:
         with ProcessPoolExecutor(max_workers=min(workers, len(shards))) as pool:
             futures = [pool.submit(worker, shard, task) for shard in shards]

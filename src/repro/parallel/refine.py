@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 
 from repro.audit.classify import ClassifierConfig
+from repro.audit.log import StreamedAuditView
 from repro.audit.schema import RULE_ATTRIBUTES
 from repro.coverage.engine import (
     CoverageReport,
@@ -41,7 +42,7 @@ from repro.obs.metrics import CARDINALITY_BUCKETS
 from repro.obs.runtime import get_registry
 from repro.parallel.partials import GroupKey, MapTask, ShardPartial, key_of, map_shard
 from repro.parallel.pool import map_in_process, run_sharded
-from repro.parallel.shards import shards_of
+from repro.parallel.shards import iter_shard, shards_of
 from repro.policy.grounding import Grounder, grounder_for
 from repro.policy.policy import Policy, PolicySource
 from repro.policy.rule import Rule
@@ -325,9 +326,6 @@ def parallel_refine(
         # are exposed through a lazy view over the shard plan, so the
         # returned practice subset streams in the same site-major order
         # the fold used.
-        from repro.parallel.shards import iter_shard
-        from repro.store.durable import StreamedAuditView
-
         practice_source = StreamedAuditView(
             lambda: (entry for shard in shards for entry in iter_shard(shard)),
             name=name,

@@ -27,7 +27,7 @@ Sources and their shapes:
   own append order) — the same order the federation's virtual SQL view
   uses, *not* the time-merged ``consolidated_log`` order;
 - any other re-iterable entry source (e.g. a
-  :class:`~repro.store.durable.StreamedAuditView`) is materialised and
+  :class:`~repro.audit.log.StreamedAuditView`) is materialised and
   chunked — correct, but it forfeits the streaming economy, so prefer
   handing the underlying log to the planner.
 """

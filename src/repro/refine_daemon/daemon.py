@@ -59,8 +59,8 @@ from repro.parallel.partials import (
     map_shard,
 )
 from repro.parallel.refine import (  # noqa: F401
-    compute_coverage,  # kept for perfbench/plans.py only (ROADMAP item 3)
-    prune_patterns,  # kept for perfbench/plans.py only (ROADMAP item 3)
+    compute_coverage,  # kept for perfbench/plans.py only (ROADMAP item 4)
+    prune_patterns,  # kept for perfbench/plans.py only (ROADMAP item 4)
 )
 from repro.parallel.shards import shards_past_watermark
 from repro.policy.grounding import Grounder

@@ -28,21 +28,21 @@ from repro.audit.log import AuditLog
 from repro.coverage.engine import (  # noqa: F401
     CoverageReport,
     EntryCoverageReport,
-    compute_coverage,  # kept for perfbench/plans.py only (ROADMAP item 3)
-    compute_entry_coverage,  # kept for perfbench/plans.py only (ROADMAP item 3)
+    compute_coverage,  # kept for perfbench/plans.py only (ROADMAP item 4)
+    compute_entry_coverage,  # kept for perfbench/plans.py only (ROADMAP item 4)
 )
 from repro.mining.patterns import MiningConfig, Pattern
 from repro.policy.grounding import Grounder
 from repro.policy.policy import Policy
 from repro.refinement.extract import (  # noqa: F401
-    extract_patterns,  # kept for perfbench/plans.py only (ROADMAP item 3)
+    extract_patterns,  # kept for perfbench/plans.py only (ROADMAP item 4)
 )
 from repro.refinement.filtering import (  # noqa: F401
     CLASSIFY_SCOPES,
-    filter_practice,  # kept for perfbench/plans.py only (ROADMAP item 3)
+    filter_practice,  # kept for perfbench/plans.py only (ROADMAP item 4)
 )
 from repro.refinement.prune import (  # noqa: F401
-    prune_patterns,  # kept for perfbench/plans.py only (ROADMAP item 3)
+    prune_patterns,  # kept for perfbench/plans.py only (ROADMAP item 4)
 )
 from repro.vocab.vocabulary import Vocabulary
 
@@ -144,7 +144,8 @@ def refine(
     ``Grounder(vocabulary)`` to keep a private memo that raises
     :class:`~repro.errors.CoverageError` on such a mutation instead.
     """
-    # imported here: the kernel module loads the process pool
+    # imported here: repro.parallel.refine imports this module for
+    # RefinementConfig and RefinementResult
     from repro.parallel.refine import parallel_refine
 
     return parallel_refine(policy_store, audit_log, vocabulary, config, grounder)

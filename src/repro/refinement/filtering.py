@@ -20,7 +20,7 @@ The result is a *view* of ``log``, not a copy: filtering an in-memory
 always has, but filtering a disk-backed
 :class:`~repro.store.durable.DurableAuditLog` (or any streamed view over
 one) returns a lazy, re-iterable
-:class:`~repro.store.durable.StreamedAuditView`, so the standalone Filter
+:class:`~repro.audit.log.StreamedAuditView`, so the standalone Filter
 path preserves the store's bounded-memory streaming guarantee instead of
 materialising the whole trail.
 

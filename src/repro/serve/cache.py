@@ -9,11 +9,11 @@ with the cache on or off.
 
 Keys are interned: each distinct role/purpose/category string is mapped
 to a small integer once, so a steady-state key is a tuple of ints —
-cheap to hash and free of repeated string hashing.  The version pair in
-the key makes staleness structurally impossible (a reload changes the
-key, not the entry), and :meth:`invalidate` additionally drops the old
-generation's entries so memory stays bounded by live keys; capacity is
-bounded by LRU eviction on top.
+cheap to hash and free of repeated string hashing.  The versions in the
+key make staleness structurally impossible (a reload or an in-place
+vocabulary change alters the key, not the entry), and :meth:`invalidate`
+additionally drops the old generation's entries so memory stays bounded
+by live keys; capacity is bounded by LRU eviction on top.
 
 Telemetry: ``repro_serve_decision_cache_{hits,misses,evictions,
 invalidations}_total`` counters and a ``repro_serve_decision_cache_size``
@@ -61,6 +61,7 @@ class DecisionCache:
         self,
         policy_version: int,
         consent_version: int,
+        vocab_version: int,
         role: str,
         purpose: str,
         categories: Iterable[str],
@@ -70,6 +71,7 @@ class DecisionCache:
         return (
             policy_version,
             consent_version,
+            vocab_version,
             atom(role),
             atom(purpose),
             tuple(atom(category) for category in categories),

@@ -198,6 +198,9 @@ class PdpEngine:
         started = time.perf_counter()
         entries_before = len(self.audit_log) if trace_id else 0
         cache, cache_state = self.cache, "bypass"
+        # read once, before the decision: the response's stamp and the
+        # cache key, so a verdict is never filed under newer versions
+        versions = snapshot.versions()
 
         # the verdict via the decision cache; a miss asks the snapshot
         # enforcer's policy_permits.  cache_state is provenance's ``cache``
@@ -205,7 +208,7 @@ class PdpEngine:
             nonlocal cache_state
             if cache is not None:
                 key = cache.key(
-                    snapshot.policy_store.revision, snapshot.consent.version,
+                    versions["policy"], versions["consent"], versions["vocab"],
                     role, purpose, categories,
                 )
                 allowed = cache.get(key)
@@ -227,7 +230,6 @@ class PdpEngine:
         )
         role, purpose, _, returned, masked, deny = decision
         self.decisions_served += 1
-        versions = snapshot.versions()
         decision.audit(self.manager.auditor, request.user, request.truth)
         if deny:
             response = protocol.error_response(

@@ -10,158 +10,21 @@ subsets (``window``, ``where``, ``exceptions`` …) come back as
 that themselves satisfy the read protocol, so chained slicing never
 copies entries into memory.
 
-The shared method implementations live in :class:`AuditReadOps`; both the
-durable log and its views inherit them, guaranteeing the two agree on the
-semantics of every derived readout (the round-trip property suite pins
-this against the in-memory implementation).
+The shared read operations live in :class:`~repro.audit.log.AuditReadOps`
+(re-exported here with :class:`~repro.audit.log.StreamedAuditView`); the
+in-memory log, this durable log and its views all inherit them, so every
+shape has one implementation of each derived readout.  This module
+overrides only what the store answers from its indexes and manifest.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from pathlib import Path
 
 from repro.audit.entry import AuditEntry
-from repro.audit.log import AuditLog
-from repro.audit.schema import (
-    RULE_ATTRIBUTES,
-    audit_table_schema,
-    create_audit_indexes,
-)
-from repro.errors import AuditError
-from repro.policy.policy import Policy, PolicySource
-from repro.sqlmini.database import Database
-from repro.sqlmini.table import Table
+from repro.audit.log import AuditLog, AuditReadOps, StreamedAuditView
 from repro.store.store import AuditStore, StoreConfig, StoreStats, VerifyReport
-
-
-class AuditReadOps:
-    """The derived read operations every audit-log shape shares.
-
-    Subclasses provide ``__iter__`` (re-iterable), ``name`` and
-    ``where``; everything else — the slicing, statistics and conversion
-    surface of :class:`~repro.audit.log.AuditLog` — is implemented here
-    over streaming iteration.
-    """
-
-    name: str
-
-    def __iter__(self) -> Iterator[AuditEntry]:
-        """Stream the entries (subclass responsibility)."""
-        raise NotImplementedError
-
-    def where(self, predicate: Callable[[AuditEntry], bool]) -> "StreamedAuditView":
-        """Entries satisfying ``predicate``, as a lazy streaming view."""
-        return StreamedAuditView(
-            lambda: (entry for entry in self if predicate(entry)), name=self.name
-        )
-
-    def window(self, start: int, end: int) -> "StreamedAuditView":
-        """Entries with ``start <= time < end`` (a training window)."""
-        view = self.where(lambda entry: start <= entry.time < end)
-        view.name = f"{self.name}[{start}:{end}]"
-        return view
-
-    def exceptions(self) -> "StreamedAuditView":
-        """The break-the-glass subset (allowed, status = exception)."""
-        return self.where(lambda e: e.is_exception and e.is_allowed)
-
-    def regular(self) -> "StreamedAuditView":
-        """The sanctioned subset (allowed, status = regular)."""
-        return self.where(lambda e: not e.is_exception and e.is_allowed)
-
-    def denials(self) -> "StreamedAuditView":
-        """Requests the enforcement layer refused (op = deny)."""
-        return self.where(lambda e: not e.is_allowed)
-
-    def distinct_users(self) -> tuple[str, ...]:
-        """Sorted distinct user ids appearing in the log."""
-        return tuple(sorted({entry.user for entry in self}))
-
-    def time_range(self) -> tuple[int, int]:
-        """(first, last) entry times; raises on an empty log."""
-        first = last = None
-        for entry in self:
-            if first is None:
-                first = entry.time
-            last = entry.time
-        if first is None or last is None:
-            raise AuditError(f"audit log {self.name!r} is empty")
-        return first, last
-
-    def exception_rate(self) -> float:
-        """Fraction of allowed accesses that went through the exception
-        path — the paper's headline symptom."""
-        allowed = exceptional = 0
-        for entry in self:
-            if entry.is_allowed:
-                allowed += 1
-                if entry.is_exception:
-                    exceptional += 1
-        if not allowed:
-            raise AuditError(f"audit log {self.name!r} has no allowed accesses")
-        return exceptional / allowed
-
-    def rule_histogram(
-        self, attributes: tuple[str, ...] = RULE_ATTRIBUTES
-    ) -> Counter:
-        """Count entries per lifted ground rule."""
-        return Counter(entry.to_rule(attributes) for entry in self)
-
-    def to_policy(self, attributes: tuple[str, ...] = RULE_ATTRIBUTES) -> Policy:
-        """Lift the log into the paper's ``P_AL`` (duplicates preserved)."""
-        return Policy(
-            (entry.to_rule(attributes) for entry in self),
-            source=PolicySource.AUDIT_LOG,
-            name=f"P_AL({self.name})",
-        )
-
-    def to_table(
-        self,
-        database: Database,
-        table_name: str | None = None,
-        index: bool = False,
-    ) -> Table:
-        """Materialise the log as a sqlmini table and return it.
-
-        ``index=True`` additionally creates the standard audit-column
-        indexes (see :data:`repro.audit.schema.AUDIT_INDEX_SPECS`).
-        """
-        schema = audit_table_schema(table_name or self.name)
-        table = database.create_table(schema)
-        for entry in self:
-            table.insert(entry.as_row())
-        if index:
-            create_audit_indexes(table)
-        return table
-
-
-class StreamedAuditView(AuditReadOps):
-    """A lazy, re-iterable view over a stream of audit entries.
-
-    Holds a factory rather than entries, so iterating twice re-reads the
-    source (cheap for disk segments, exact for immutable sealed data) and
-    chained ``where``/``window`` calls compose filters without copying.
-    ``len()`` counts by iteration — O(n), but allocation-free.
-    """
-
-    def __init__(
-        self, factory: Callable[[], Iterator[AuditEntry]], name: str = "audit_view"
-    ) -> None:
-        self._factory = factory
-        self.name = name
-
-    def __iter__(self) -> Iterator[AuditEntry]:
-        """Stream the view's entries from its source."""
-        return self._factory()
-
-    def __len__(self) -> int:
-        """Number of entries in the view (counted by iteration)."""
-        return sum(1 for _ in self)
-
-    def __repr__(self) -> str:
-        return f"StreamedAuditView(name={self.name!r})"
 
 
 class DurableAuditLog(AuditReadOps):
@@ -204,11 +67,6 @@ class DurableAuditLog(AuditReadOps):
             if position == index:
                 return entry
         raise IndexError(index)
-
-    @property
-    def entries(self) -> tuple[AuditEntry, ...]:
-        """All entries as a tuple — materialises; prefer iteration."""
-        return tuple(self)
 
     # ------------------------------------------------------------------
     # mutation

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.audit.entry import AuditEntry
-from repro.audit.log import AuditLog
+from repro.audit.log import AuditLog, AuditReadOps
 from repro.audit.schema import AccessOp, AccessStatus
 from repro.store.durable import copy_to_durable
 from repro.store.store import StoreConfig
@@ -87,6 +87,11 @@ class TestRoundTripEquivalence:
         assert list(durable.regular()) == list(log.regular())
         assert list(durable.denials()) == list(log.denials())
         assert durable.distinct_users() == log.distinct_users()
+        if len(log):
+            # AuditLog keeps its own O(1) time_range; it must agree with
+            # the shared streaming one and with the store's manifest
+            expected = AuditReadOps.time_range(log)
+            assert log.time_range() == durable.time_range() == expected
         durable.close()
 
     @settings(max_examples=40, deadline=None)

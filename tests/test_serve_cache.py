@@ -12,35 +12,36 @@ from repro.serve.cache import DecisionCache
 class TestKeying:
     def test_keys_are_interned_ints(self):
         cache = DecisionCache()
-        key = cache.key(3, 1, "nurse", "treatment", ("referral", "name"))
-        assert key[0] == 3 and key[1] == 1
-        assert all(isinstance(atom, int) for atom in key[2:4])
-        assert all(isinstance(atom, int) for atom in key[4])
+        key = cache.key(3, 1, 5, "nurse", "treatment", ("referral", "name"))
+        assert key[:3] == (3, 1, 5)
+        assert all(isinstance(atom, int) for atom in key[3:5])
+        assert all(isinstance(atom, int) for atom in key[5])
 
     def test_same_inputs_same_key(self):
         cache = DecisionCache()
-        a = cache.key(1, 1, "nurse", "treatment", ("referral",))
-        b = cache.key(1, 1, "nurse", "treatment", ("referral",))
+        a = cache.key(1, 1, 1, "nurse", "treatment", ("referral",))
+        b = cache.key(1, 1, 1, "nurse", "treatment", ("referral",))
         assert a == b
 
     def test_version_pair_changes_key(self):
         cache = DecisionCache()
-        base = cache.key(1, 1, "nurse", "treatment", ("referral",))
-        assert cache.key(2, 1, "nurse", "treatment", ("referral",)) != base
-        assert cache.key(1, 2, "nurse", "treatment", ("referral",)) != base
+        base = cache.key(1, 1, 1, "nurse", "treatment", ("referral",))
+        assert cache.key(2, 1, 1, "nurse", "treatment", ("referral",)) != base
+        assert cache.key(1, 2, 1, "nurse", "treatment", ("referral",)) != base
+        assert cache.key(1, 1, 2, "nurse", "treatment", ("referral",)) != base
 
     def test_distinct_strings_get_distinct_atoms(self):
         cache = DecisionCache()
-        a = cache.key(1, 1, "nurse", "treatment", ())
-        b = cache.key(1, 1, "physician", "treatment", ())
-        assert a[2] != b[2]
-        assert a[3] == b[3]  # same purpose atom
+        a = cache.key(1, 1, 1, "nurse", "treatment", ())
+        b = cache.key(1, 1, 1, "physician", "treatment", ())
+        assert a[3] != b[3]
+        assert a[4] == b[4]  # same purpose atom
 
 
 class TestLookup:
     def test_miss_then_hit(self):
         cache = DecisionCache()
-        key = cache.key(1, 1, "nurse", "treatment", ("referral",))
+        key = cache.key(1, 1, 1, "nurse", "treatment", ("referral",))
         assert cache.get(key) is None
         cache.put(key, frozenset({"referral"}))
         assert cache.get(key) == frozenset({"referral"})
@@ -49,16 +50,16 @@ class TestLookup:
 
     def test_stale_version_is_a_miss_not_a_wrong_answer(self):
         cache = DecisionCache()
-        old = cache.key(1, 1, "nurse", "treatment", ("referral",))
+        old = cache.key(1, 1, 1, "nurse", "treatment", ("referral",))
         cache.put(old, frozenset({"referral"}))
-        fresh = cache.key(2, 1, "nurse", "treatment", ("referral",))
+        fresh = cache.key(2, 1, 1, "nurse", "treatment", ("referral",))
         assert cache.get(fresh) is None
 
     def test_lru_eviction_order(self):
         cache = DecisionCache(max_entries=2)
-        k1 = cache.key(1, 1, "a", "p", ())
-        k2 = cache.key(1, 1, "b", "p", ())
-        k3 = cache.key(1, 1, "c", "p", ())
+        k1 = cache.key(1, 1, 1, "a", "p", ())
+        k2 = cache.key(1, 1, 1, "b", "p", ())
+        k3 = cache.key(1, 1, 1, "c", "p", ())
         cache.put(k1, frozenset())
         cache.put(k2, frozenset())
         cache.get(k1)  # k1 now most recently used
@@ -70,7 +71,7 @@ class TestLookup:
 
     def test_invalidate_clears_and_counts(self):
         cache = DecisionCache()
-        cache.put(cache.key(1, 1, "a", "p", ()), frozenset())
+        cache.put(cache.key(1, 1, 1, "a", "p", ()), frozenset())
         cache.invalidate()
         assert len(cache) == 0
         assert cache.invalidations == 1
@@ -85,7 +86,7 @@ class TestTelemetry:
         registry = MetricsRegistry()
         with use_registry(registry):
             cache = DecisionCache()
-            key = cache.key(1, 1, "nurse", "treatment", ("referral",))
+            key = cache.key(1, 1, 1, "nurse", "treatment", ("referral",))
             cache.get(key)
             cache.put(key, frozenset({"referral"}))
             cache.get(key)

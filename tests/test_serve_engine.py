@@ -168,6 +168,26 @@ class TestDecide:
         assert cached.cache.hits > 0
         assert plain.cache is None
 
+    def test_vocabulary_change_reaches_cached_verdict(self):
+        cached = build_demo_engine(rows=30, seed=7, cache=True)
+        plain = build_demo_engine(rows=30, seed=7, cache=False)
+
+        def answers():
+            a = decide(cached, ["genomics"], role="nurse")
+            b = decide(plain, ["genomics"], role="nurse")
+            assert a == b
+            permits = cached.manager.current.enforcer.policy_permits
+            assert a["ok"] == permits("genomics", "treatment", "nurse")
+            return a["code"]
+
+        assert answers() == protocol.DENIED
+        assert answers() == protocol.DENIED  # a cache hit on the cached engine
+        for engine in (cached, plain):
+            engine.manager.current.vocabulary.tree_for("data").add(
+                "genomics", parent="medical_records"
+            )
+        assert answers() == protocol.OK
+
     def test_admin_mutation_invalidates_decision_cache(self, engine):
         decide(engine, ["prescription"])
         assert len(engine.cache) == 1
